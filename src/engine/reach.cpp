@@ -45,37 +45,6 @@ struct Frontier {
   bool revisit = false;
 };
 
-/// Sequential counterpart of ShardedVisitedSet::insert_masked: one interned
-/// word set plus a dense per-id mask array, lock-free for the single-thread
-/// driver.  Same meet semantics, so both drivers share the revisit rule
-/// documented on MaskedInsert.  With all-zero masks this is an exact
-/// insert() with ids — the degenerate form the symmetry quotient uses when
-/// sleep sets are off.
-class SeqMaskedSet {
- public:
-  ShardedVisitedSet::MaskedInsert insert_masked(
-      std::span<const std::uint64_t> encoding, std::uint64_t mask) {
-    const auto ided = set_.resolve_ided(encoding);
-    if (ided.inserted) {
-      masks_.push_back(mask);
-      return {true, true, mask};
-    }
-    std::uint64_t& stored = masks_[ided.id];
-    const std::uint64_t meet = stored & mask;
-    if (meet == stored) return {false, false, stored};
-    stored = meet;
-    return {false, true, meet};
-  }
-
-  [[nodiscard]] std::size_t bytes() const noexcept {
-    return set_.bytes() + masks_.capacity() * sizeof(std::uint64_t);
-  }
-
- private:
-  support::InternedWordSet set_;
-  std::vector<std::uint64_t> masks_;
-};
-
 /// Builds the run's state abstraction from the reduction options: the
 /// symmetry orbit quotient, the execution-graph quotient, or — when neither
 /// applies but the sleep-set path still needs masked keying — the concrete
@@ -172,11 +141,13 @@ namespace {
 
 /// Fast-forwards `cfg` through its deterministic local ample chain without
 /// recording the intermediate states; bumps `chained` once per skipped step.
+/// Each step swaps the chain successor into `cfg` and the state it replaces
+/// into the buffer slot, so both keep their heap capacity.
 void collapse_untraced(const TransitionSystem& ts, Config& cfg,
                        StepBuffer& buf, std::uint64_t& chained) {
   while (const auto t = chain_thread(ts, cfg)) {
     ts.thread_successors_into(cfg, *t, buf, /*want_labels=*/false);
-    cfg = std::move(buf.steps()[0].after);
+    std::swap(cfg, buf.steps()[0].after);
     chained += 1;
   }
 }
@@ -207,7 +178,7 @@ bool collapse_traced(const TransitionSystem& ts, ShardedVisitedSet& sink,
                            /*enqueued=*/!next.has_value());
     if (!ins.inserted) return false;
     id = ins.id;
-    cfg = std::move(step.after);
+    std::swap(cfg, step.after);
     chained += 1;
     t = next;
   }
@@ -265,11 +236,12 @@ template <typename CanonSet, typename Push>
 void process_steps_reduced(const TransitionSystem& ts, ShardedVisitedSet* trace,
                            bool collapse, const StateAbstraction& abs,
                            bool sleep, const Frontier& item,
-                           std::span<lang::Step> steps, CanonSet& canon_set,
+                           StepBuffer& buf, CanonSet& canon_set,
                            ReduceScratch& rs, bool count_stats,
                            std::uint64_t& chained, std::uint64_t& sym_hits,
                            std::uint64_t& rf_merges, std::uint64_t& sleep_skips,
                            Push&& push) {
+  const std::span<lang::Step> steps = buf.steps();
   std::uint64_t mask = 0;
   if (sleep) {
     std::uint64_t enabled = 0;
@@ -308,14 +280,17 @@ void process_steps_reduced(const TransitionSystem& ts, ShardedVisitedSet* trace,
       earlier |= 1ULL << t;
     }
     for (std::size_t k = i; k < j; ++k) {
+      // Keyed in place: `after` leaves the step buffer (take) only when it
+      // is enqueued, so a duplicate keeps its slot's capacity for the next
+      // expansion (chain walking swaps states with the chain buffer).
       lang::Step& step = steps[k];
-      Config after = std::move(step.after);
+      Config& after = step.after;
       std::uint64_t concrete_id = ShardedVisitedSet::kNoState;
       bool concrete_new = false;
       if (trace != nullptr) {
         std::uint64_t parent = item.id;
         memsem::ThreadId acting = step.thread;
-        std::string label = std::move(step.label);
+        std::string& label = step.label;
         if (collapse) {
           while (const auto ct = chain_thread(ts, after)) {
             rs.scratch.clear();
@@ -328,9 +303,9 @@ void process_steps_reduced(const TransitionSystem& ts, ShardedVisitedSet* trace,
             ts.thread_successors_into(after, *ct, rs.chain_steps,
                                       /*want_labels=*/true);
             auto& cstep = rs.chain_steps.steps()[0];
-            after = std::move(cstep.after);
+            std::swap(after, cstep.after);
             acting = cstep.thread;
-            label = std::move(cstep.label);
+            std::swap(label, cstep.label);
           }
         }
         rs.scratch.clear();
@@ -366,7 +341,7 @@ void process_steps_reduced(const TransitionSystem& ts, ShardedVisitedSet* trace,
       std::uint64_t fmask = 0;
       if (sleep) fmask = mask_from_abstract(r.mask, rs.key);
       if (trace != nullptr && r.inserted) trace->mark_enqueued(concrete_id);
-      push(Frontier{std::move(after), concrete_id, fmask,
+      push(Frontier{buf.take(step), concrete_id, fmask,
                     /*revisit=*/!r.inserted});
     }
     i = j;
@@ -514,7 +489,7 @@ ReachResult parallel_reach(const TransitionSystem& ts,
 
       discovered.clear();
       bool request_stop = false;
-      for (const Frontier& item : batch) {
+      for (Frontier& item : batch) {
         const Config& cfg = item.cfg;
         if (item.revisit) {
           // Mask-shrink revisit: regenerate the same successor set
@@ -527,10 +502,11 @@ ReachResult parallel_reach(const TransitionSystem& ts,
           }
           (void)expand_steps(ts, cfg, options, steps, want_labels);
           process_steps_reduced(
-              ts, options.trace, collapse, *wabs, sleep, item, steps.steps(),
+              ts, options.trace, collapse, *wabs, sleep, item, steps,
               canon_shared, rs, /*count_stats=*/false, chained, local_sym,
               local_rf, local_skips,
               [&](Frontier&& f) { discovered.push_back(std::move(f)); });
+          steps.retire(std::move(item.cfg));
           continue;
         }
         if (enforcer.claim() != StopReason::Complete) {
@@ -552,13 +528,16 @@ ReachResult parallel_reach(const TransitionSystem& ts,
         const bool keep_going = visitor(cfg, item.id, steps.steps());
         if (reduced) {
           process_steps_reduced(
-              ts, options.trace, collapse, *wabs, sleep, item, steps.steps(),
+              ts, options.trace, collapse, *wabs, sleep, item, steps,
               canon_shared, rs, /*count_stats=*/true, chained, local_sym,
               local_rf, local_skips,
               [&](Frontier&& f) { discovered.push_back(std::move(f)); });
         } else {
+          // Successors are encoded in place and leave the step buffer (take)
+          // only when enqueued: a duplicate keeps its slot's capacity, and
+          // an enqueued one's slot is refilled from retired storage.
           for (auto& step : steps.steps()) {
-            Config after = std::move(step.after);
+            Config& after = step.after;
             if (options.trace) {
               // A successor that opens a deterministic chain is itself
               // chain-internal: collapse will fast-forward through it and
@@ -577,17 +556,20 @@ ReachResult parallel_reach(const TransitionSystem& ts,
                                    scratch, chained)) {
                 continue;
               }
-              discovered.push_back({std::move(after), id});
+              discovered.push_back({steps.take(step), id});
             } else {
               if (collapse) collapse_untraced(ts, after, chain_steps, chained);
               scratch.clear();
               after.encode_into(scratch);
               if (visited.insert(scratch)) {
-                discovered.push_back({std::move(after), ShardedVisitedSet::kNoState});
+                discovered.push_back(
+                    {steps.take(step), ShardedVisitedSet::kNoState});
               }
             }
           }
         }
+        // The expanded state's storage backs the next enqueued successor.
+        steps.retire(std::move(item.cfg));
         if (!keep_going) {
           request_stop = true;
           break;
@@ -745,14 +727,15 @@ ReachResult sequential_reach(const TransitionSystem& ts,
     }
     if (reduced) {
       process_steps_reduced(
-          ts, options.trace, collapse, *abs, sleep, item, steps.steps(), canon,
+          ts, options.trace, collapse, *abs, sleep, item, steps, canon,
           rs, /*count_stats=*/!revisit, result.stats.por_chained,
           result.stats.symmetry_hits, result.stats.rf_merges,
           result.stats.sleep_set_skips,
           [&](Frontier&& f) { frontier.push_back(std::move(f)); });
     } else {
+      // In-place encoding, as in the parallel driver.
       for (auto& step : steps.steps()) {
-        Config after = std::move(step.after);
+        Config& after = step.after;
         if (options.trace) {
           // Same chain-start rule as the parallel driver: see above.
           const bool chain_start =
@@ -769,7 +752,7 @@ ReachResult sequential_reach(const TransitionSystem& ts,
                                scratch, result.stats.por_chained)) {
             continue;
           }
-          frontier.push_back({std::move(after), id});
+          frontier.push_back({steps.take(step), id});
         } else {
           if (collapse) {
             collapse_untraced(ts, after, chain_steps, result.stats.por_chained);
@@ -777,11 +760,12 @@ ReachResult sequential_reach(const TransitionSystem& ts,
           scratch.clear();
           after.encode_into(scratch);
           if (visited.insert(scratch)) {
-            frontier.push_back({std::move(after), ShardedVisitedSet::kNoState});
+            frontier.push_back({steps.take(step), ShardedVisitedSet::kNoState});
           }
         }
       }
     }
+    steps.retire(std::move(item.cfg));
     if (!keep_going) break;
   }
   result.stats.visited_bytes = reduced ? canon.bytes() : 0;

@@ -300,10 +300,10 @@ ReachResult sample_reach(const TransitionSystem& ts,
                                 si - chosen.begin)] += 1;
       }
       Step& step = steps.steps()[si];
-      Config after = std::move(step.after);
       std::tie(fresh, id) =
-          intern(after, id, step.thread, std::move(step.label));
-      cfg = std::move(after);
+          intern(step.after, id, step.thread, std::move(step.label));
+      // The state left behind goes back into the pool with its capacity.
+      std::swap(cfg, step.after);
     }
     if (stop_run) break;
     result.stats.episodes += 1;

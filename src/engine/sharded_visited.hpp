@@ -1,18 +1,29 @@
 // rc11lib/engine/sharded_visited.hpp
 //
-// A lock-striped visited set over canonical state encodings, owned by the
-// shared reachability engine (engine/reach.hpp) and used by every checker
-// that runs on it: the explorer, the proof-outline checker and the
-// refinement graph builder.
+// The visited sets of the shared reachability engine (engine/reach.hpp),
+// used by every checker that runs on it: the explorer, the proof-outline
+// checker and the refinement graph builder.
 //
-// Layout: N shards (N a power of two), each an independently locked
-// support::InternedWordSet — an open-addressing fingerprint table whose
-// 16-byte entries point into a per-shard append-only varint arena.  A state
-// is routed to the shard named by the *top* bits of its 64-bit encoding
-// digest, and the digest then indexes the open-addressing table inside the
-// shard, so the two levels consume disjoint bits and states spread evenly.
-// There is no per-state heap allocation: duplicates touch only the table,
-// and new states append their compressed encoding to the shard arena.
+// ShardedVisitedSet is lock-striped: N shards (N a power of two), each an
+// independently locked support::InternedWordSet — an open-addressing
+// fingerprint table whose 16-byte entries point into a per-shard append-only
+// varint arena.  A caller's encoding is packed into a support::PackedWords
+// (varint serialisation + digest of the serialised bytes) *before* any lock
+// is taken, in a per-thread key; under the shard lock a call only probes
+// and, for a new state, appends.  The state is routed to the shard named by
+// the *top* bits of that digest, and the digest then indexes the
+// open-addressing table inside the shard, so the two levels consume disjoint
+// bits and states spread evenly.  There is no per-state heap allocation:
+// duplicates touch only the table, and new states append their compressed
+// encoding to the shard arena.
+//
+// SeqMaskedSet is the single-threaded counterpart of insert_masked, for the
+// sequential driver's reduction paths.
+//
+// Every operation of both sets — plain, traced, resolving and masked, from
+// drivers, init seeding and checkpoint seeding alike — takes either a
+// PackedWords or the words (packed through PackedWords::assign), so one
+// digest function decides every probe (see support/intern.hpp).
 //
 // Soundness: exactly like the sequential visited set, a fingerprint hit is
 // confirmed against the complete stored encoding before an insert is
@@ -35,6 +46,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <mutex>
 #include <span>
@@ -42,7 +54,6 @@
 #include <vector>
 
 #include "memsem/types.hpp"
-#include "support/hash.hpp"
 #include "support/intern.hpp"
 
 namespace rc11::engine {
@@ -95,13 +106,16 @@ class ShardedVisitedSet {
   }
 
   /// Returns true iff the encoding was newly inserted.  Thread-safe.  The
-  /// words are only copied (compressed, into the shard arena) when they are
+  /// packed bytes are only copied (into the shard arena) when they are
   /// genuinely new; a duplicate allocates nothing.
-  bool insert(std::span<const std::uint64_t> encoding) {
-    const std::uint64_t digest = support::hash_words(encoding);
-    Shard& shard = shards_[shard_of(digest)];
+  bool insert(const support::PackedWords& key) {
+    Shard& shard = shards_[shard_of(key.digest())];
     std::lock_guard<std::mutex> lock(shard.mu);
-    return shard.set.insert(encoding, digest);
+    return shard.set.insert(key);
+  }
+
+  bool insert(std::span<const std::uint64_t> encoding) {
+    return insert(pack(encoding));
   }
 
   /// Inserts the encoding and, iff it is new, records its parent link under
@@ -114,19 +128,25 @@ class ShardedVisitedSet {
   /// never independently expanded — a checkpoint must not resurrect them as
   /// frontier work.  Thread-safe; a set used with insert_traced must use it
   /// exclusively.
-  TracedInsert insert_traced(std::span<const std::uint64_t> encoding,
+  TracedInsert insert_traced(const support::PackedWords& key,
                              std::uint64_t parent, memsem::ThreadId thread,
                              std::string&& label, bool enqueued = true) {
-    const std::uint64_t digest = support::hash_words(encoding);
-    const std::size_t si = shard_of(digest);
+    const std::size_t si = shard_of(key.digest());
     Shard& shard = shards_[si];
     std::lock_guard<std::mutex> lock(shard.mu);
-    const auto ided = shard.set.insert_ided(encoding, digest);
+    const auto ided = shard.set.insert_ided(key);
     if (!ided.inserted) return {false, kNoState};
     // Local ids are dense per shard; parents_ grows in lockstep with them.
     shard.parents.push_back({parent, thread, std::move(label), enqueued});
     shard.label_bytes += shard.parents.back().label.capacity();
     return {true, compose_id(si, ided.id)};
+  }
+
+  TracedInsert insert_traced(std::span<const std::uint64_t> encoding,
+                             std::uint64_t parent, memsem::ThreadId thread,
+                             std::string&& label, bool enqueued = true) {
+    return insert_traced(pack(encoding), parent, thread, std::move(label),
+                         enqueued);
   }
 
   /// Like insert_traced(), but a duplicate resolves to the id the state was
@@ -137,19 +157,25 @@ class ShardedVisitedSet {
   /// replayable witnesses no matter how many earlier episodes crossed the
   /// same states.  The parent link is still recorded only on genuine
   /// inserts — first reach wins, exactly like insert_traced.
-  TracedInsert resolve_traced(std::span<const std::uint64_t> encoding,
+  TracedInsert resolve_traced(const support::PackedWords& key,
                               std::uint64_t parent, memsem::ThreadId thread,
                               std::string&& label, bool enqueued = true) {
-    const std::uint64_t digest = support::hash_words(encoding);
-    const std::size_t si = shard_of(digest);
+    const std::size_t si = shard_of(key.digest());
     Shard& shard = shards_[si];
     std::lock_guard<std::mutex> lock(shard.mu);
-    const auto ided = shard.set.resolve_ided(encoding, digest);
+    const auto ided = shard.set.resolve_ided(key);
     if (ided.inserted) {
       shard.parents.push_back({parent, thread, std::move(label), enqueued});
       shard.label_bytes += shard.parents.back().label.capacity();
     }
     return {ided.inserted, compose_id(si, ided.id)};
+  }
+
+  TracedInsert resolve_traced(std::span<const std::uint64_t> encoding,
+                              std::uint64_t parent, memsem::ThreadId thread,
+                              std::string&& label, bool enqueued = true) {
+    return resolve_traced(pack(encoding), parent, thread, std::move(label),
+                          enqueued);
   }
 
   /// Membership test with a per-state sleep mask, linearised under the shard
@@ -160,17 +186,29 @@ class ShardedVisitedSet {
   /// at 64 per state).  With all-zero masks this degenerates to an exact
   /// insert(), which is how the symmetry quotient uses it when sleep sets
   /// are off.  A set used with insert_masked must use it exclusively.
+  MaskedInsert insert_masked(const support::PackedWords& key,
+                             std::uint64_t mask) {
+    Shard& shard = shards_[shard_of(key.digest())];
+    std::lock_guard<std::mutex> lock(shard.mu);
+    return meet_mask(shard.set.resolve_ided(key), shard.masks, mask);
+  }
+
   MaskedInsert insert_masked(std::span<const std::uint64_t> encoding,
                              std::uint64_t mask) {
-    const std::uint64_t digest = support::hash_words(encoding);
-    Shard& shard = shards_[shard_of(digest)];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto ided = shard.set.resolve_ided(encoding, digest);
+    return insert_masked(pack(encoding), mask);
+  }
+
+  /// The revisit rule shared by both masked sets: a fresh state stores
+  /// `mask`; a duplicate meets its stored mask (indexed by the id `ided`
+  /// resolved to) with `mask` and asks for re-expansion iff it shrank.
+  static MaskedInsert meet_mask(support::InternedWordSet::IdedInsert ided,
+                                std::vector<std::uint64_t>& masks,
+                                std::uint64_t mask) {
     if (ided.inserted) {
-      shard.masks.push_back(mask);
+      masks.push_back(mask);
       return {true, true, mask};
     }
-    std::uint64_t& stored = shard.masks[ided.id];
+    std::uint64_t& stored = masks[ided.id];
     const std::uint64_t meet = stored & mask;
     if (meet == stored) return {false, false, stored};
     stored = meet;
@@ -299,6 +337,14 @@ class ShardedVisitedSet {
     std::vector<std::uint64_t> masks;  ///< by local id (insert_masked only)
   };
 
+  /// Packs `encoding` into this thread's reusable key, outside any lock.
+  static const support::PackedWords& pack(
+      std::span<const std::uint64_t> encoding) {
+    thread_local support::PackedWords key;
+    key.assign(encoding);
+    return key;
+  }
+
   [[nodiscard]] std::size_t shard_of(std::uint64_t digest) const noexcept {
     return shard_shift_ >= 64U ? 0 : static_cast<std::size_t>(digest >> shard_shift_);
   }
@@ -320,6 +366,34 @@ class ShardedVisitedSet {
   std::vector<Shard> shards_;
   unsigned shard_shift_ = 64;
   unsigned shard_bits_ = 0;
+};
+
+/// Sequential counterpart of ShardedVisitedSet::insert_masked: one interned
+/// word set plus a dense per-id mask array, lock-free for the single-thread
+/// driver.  Same meet semantics (ShardedVisitedSet::meet_mask), so both
+/// drivers share the revisit rule documented on MaskedInsert.  With all-zero
+/// masks this is an exact insert() with ids — the degenerate form the
+/// symmetry quotient uses when sleep sets are off.
+class SeqMaskedSet {
+ public:
+  ShardedVisitedSet::MaskedInsert insert_masked(const support::PackedWords& key,
+                                                std::uint64_t mask) {
+    return ShardedVisitedSet::meet_mask(set_.resolve_ided(key), masks_, mask);
+  }
+
+  ShardedVisitedSet::MaskedInsert insert_masked(
+      std::span<const std::uint64_t> encoding, std::uint64_t mask) {
+    return ShardedVisitedSet::meet_mask(set_.resolve_ided(encoding), masks_,
+                                        mask);
+  }
+
+  [[nodiscard]] std::size_t bytes() const noexcept {
+    return set_.bytes() + masks_.capacity() * sizeof(std::uint64_t);
+  }
+
+ private:
+  support::InternedWordSet set_;
+  std::vector<std::uint64_t> masks_;
 };
 
 }  // namespace rc11::engine

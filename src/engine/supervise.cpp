@@ -240,7 +240,7 @@ Config worker_replay(const TransitionSystem& ts, const Json& path,
     bool found = false;
     for (lang::Step& step : buf.steps()) {
       if (witness::config_digest(step.after) == d) {
-        cur = std::move(step.after);
+        std::swap(cur, step.after);
         found = true;
         break;
       }
@@ -348,7 +348,9 @@ struct WorkerCtx {
         for (lang::Step& step : steps.steps()) {
           Json s = Json::object();
           Json hops = Json::array();
-          Config after = std::move(step.after);
+          // Walked and keyed in place: nothing here outlives the ack, so the
+          // step buffers keep every state's capacity.
+          Config& after = step.after;
           push_hop(hops, step.thread, std::move(step.label), after);
           if (collapse) {
             // Mirror the driver's chain walk: every intermediate state is a
@@ -358,7 +360,7 @@ struct WorkerCtx {
               ts.thread_successors_into(after, *ct, chain_buf,
                                         /*want_labels=*/true);
               lang::Step& cstep = chain_buf.steps()[0];
-              after = std::move(cstep.after);
+              std::swap(after, cstep.after);
               push_hop(hops, cstep.thread, std::move(cstep.label), after);
             }
           }
@@ -1127,7 +1129,7 @@ const Config& ConfigMaterializer::at(std::uint64_t id) {
       enc.clear();
       step.after.encode_into(enc);
       if (enc == want) {
-        cur = std::move(step.after);
+        std::swap(cur, step.after);
         found = true;
         break;
       }

@@ -51,8 +51,6 @@ struct Config {
   /// convention; encode() above is a convenience wrapper.
   void encode_into(std::vector<std::uint64_t>& out) const;
 
-  [[nodiscard]] std::uint64_t hash() const;
-
   [[nodiscard]] std::string to_string(const System& sys) const;
 };
 
@@ -84,9 +82,11 @@ struct Step {
 /// keeps every Step object (and, transitively, the heap capacity of its
 /// Config's pc/regs/ops/mo/tview vectors) alive, so refilling the buffer for
 /// the next base state copy-assigns into existing storage instead of
-/// allocating a fresh Config per transition.  Steps whose `after` the caller
-/// moves out (genuinely new states entering the frontier) simply rebuild
-/// their capacity on the next reuse.
+/// allocating a fresh Config per transition.  Callers examine a successor in
+/// place and move it out only when they keep it: take() moves it out and
+/// refills the slot with the storage of a configuration handed back through
+/// retire() (an expanded frontier state), so a driver that retires what it
+/// pops and takes what it enqueues rarely allocates for a successor.
 class StepBuffer {
  public:
   void clear() noexcept { size_ = 0; }
@@ -112,12 +112,31 @@ class StepBuffer {
     return steps_[size_++];
   }
 
+  /// Moves the successor out of `step` (a slot of this buffer) for keeps,
+  /// refilling the slot with retired storage when there is some.
+  [[nodiscard]] Config take(Step& step) {
+    Config out = std::move(step.after);
+    if (!spare_.empty()) {
+      step.after = std::move(spare_.back());
+      spare_.pop_back();
+    }
+    return out;
+  }
+
+  /// Hands back a configuration the caller is done with, for take() to
+  /// reuse.  At most one spare per slot is kept; beyond that `spent` is left
+  /// as it is, for its owner to free.
+  void retire(Config&& spent) {
+    if (spare_.size() < steps_.size()) spare_.push_back(std::move(spent));
+  }
+
   /// Scratch for MemState observability queries during generation (so
   /// Obs(t, x) does not allocate per instruction).
   [[nodiscard]] std::vector<memsem::OpId>& obs_scratch() noexcept { return obs_; }
 
  private:
   std::vector<Step> steps_;
+  std::vector<Config> spare_;  ///< retired storage awaiting take()
   std::vector<memsem::OpId> obs_;
   std::size_t size_ = 0;
 };

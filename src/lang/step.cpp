@@ -8,7 +8,6 @@
 #include "objects/queue.hpp"
 #include "objects/stack.hpp"
 #include "support/diagnostics.hpp"
-#include "support/hash.hpp"
 
 namespace rc11::lang {
 
@@ -30,15 +29,6 @@ void Config::encode_into(std::vector<std::uint64_t>& out) const {
     for (const auto v : file) out.push_back(static_cast<std::uint64_t>(v));
   }
   mem.encode(out);
-}
-
-std::uint64_t Config::hash() const {
-  std::vector<std::uint64_t> words;
-  words.reserve(64);
-  encode_into(words);
-  support::WordHasher h;
-  for (const auto w : words) h.add(w);
-  return h.digest();
 }
 
 std::string Config::to_string(const System& sys) const {

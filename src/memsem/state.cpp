@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "support/diagnostics.hpp"
-#include "support/hash.hpp"
 
 namespace rc11::memsem {
 
@@ -522,15 +521,6 @@ void MemState::encode_quotient(std::vector<std::uint64_t>& out,
       out.push_back((static_cast<std::uint64_t>(cell.clock) << 32) | cell.pc);
     }
   }
-}
-
-std::uint64_t MemState::hash() const {
-  std::vector<std::uint64_t> words;
-  words.reserve(64);
-  encode(words);
-  support::WordHasher h;
-  for (const auto w : words) h.add(w);
-  return h.digest();
 }
 
 std::string MemState::to_string() const {

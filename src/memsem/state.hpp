@@ -30,7 +30,7 @@
 //     (so the canonical "rank" of an operation is its position), and every
 //     operation additionally carries a faithful rational timestamp assigned
 //     by the paper's fresh-timestamp rule (midpoint insertion / successor at
-//     the end).  State equality and hashing use the canonical ranks by
+//     the end).  State equality and the encoding use the canonical ranks by
 //     default; the A3 ablation switches to raw rationals to demonstrate why
 //     canonicalisation is needed for finite exploration.
 
@@ -290,7 +290,7 @@ class MemState {
   void permute_threads(const std::vector<ThreadId>& slot_of);
 
   // ------------------------------------------------------------------
-  // Encoding, equality, hashing
+  // Encoding and equality
   // ------------------------------------------------------------------
 
   /// Appends a canonical encoding of this state to `out`.  Two states have
@@ -324,8 +324,6 @@ class MemState {
   ///     states.
   void encode_quotient(std::vector<std::uint64_t>& out,
                        const std::uint8_t* tview_keep) const;
-
-  [[nodiscard]] std::uint64_t hash() const;
 
   /// Human-readable dump for diagnostics and counterexamples.
   [[nodiscard]] std::string to_string() const;

@@ -62,16 +62,6 @@ bool client_refines(const ClientProjection& abs, const ClientProjection& conc) {
   return true;
 }
 
-namespace {
-
-std::uint64_t hash_words(const std::vector<std::uint64_t>& words) {
-  support::WordHasher h;
-  for (const auto w : words) h.add(w);
-  return h.digest();
-}
-
-}  // namespace
-
 StateGraph build_graph(const System& sys, const GraphOptions& options) {
   // Two-phase construction on the shared reachability driver, for every
   // thread count.  Phase 1 collects every reachable configuration; states
@@ -281,7 +271,7 @@ SimulationResult check_forward_simulation(const System& abstract_sys,
   // linear in matching states rather than quadratic overall.
   std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> abs_by_key;
   for (std::uint32_t a = 0; a < abs_proj.size(); ++a) {
-    abs_by_key[hash_words(abs_proj[a].exact)].push_back(a);
+    abs_by_key[support::hash_words(abs_proj[a].exact)].push_back(a);
   }
 
   // Candidate pairs, stored per concrete state.
@@ -291,7 +281,7 @@ SimulationResult check_forward_simulation(const System& abstract_sys,
   };
   std::unordered_set<std::uint64_t> alive;
   for (std::uint32_t cidx = 0; cidx < conc_proj.size(); ++cidx) {
-    const auto it = abs_by_key.find(hash_words(conc_proj[cidx].exact));
+    const auto it = abs_by_key.find(support::hash_words(conc_proj[cidx].exact));
     if (it == abs_by_key.end()) continue;
     for (const auto a : it->second) {
       if (client_refines(abs_proj[a], conc_proj[cidx])) {
@@ -535,11 +525,11 @@ TraceInclusionResult check_trace_inclusion(const System& abstract_sys,
   // reached, so parent chains remain real runs and witnesses replay.
   std::vector<NodeForm> forms;  // parallel to nodes
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> visited;
-  const auto node_key = [](const NodeForm& form) {
-    support::WordHasher h;
-    h.add(form.first);
-    for (const auto a : form.second) h.add(a);
-    return h.digest();
+  std::vector<std::uint64_t> key_words;  // node_key scratch
+  const auto node_key = [&key_words](const NodeForm& form) {
+    key_words.assign(1, form.first);
+    key_words.insert(key_words.end(), form.second.begin(), form.second.end());
+    return support::hash_words(key_words);
   };
   const auto visit = [&](Node n) -> bool {
     NodeForm form =

@@ -1,18 +1,29 @@
 // rc11lib/support/hash.hpp
 //
-// Hash utilities shared by the canonical-state encoder (memsem), the
-// explorer's visited set and the refinement product graph.  We use the
-// FNV-1a / boost-style mixing combination, which is adequate for hash-set
-// deduplication of canonical state encodings (exactness of exploration never
-// depends on hash quality: buckets compare full encodings).
+// Hash utilities.  One mixer, splitmix64's finaliser (mix64), feeds both
+// digests in the library:
+//
+//   * hash_words — the digest of a word sequence (a canonical state
+//     encoding).  It is persisted and exchanged: witness JSON names states by
+//     it, and the supervised driver partitions the abstract-key space by it,
+//     so its value is part of the file and wire formats and must not change.
+//
+//   * digest_bytes — the in-memory fingerprint the interned visited sets
+//     probe with (support/intern.hpp).  It runs over the compact varint form
+//     a set stores, roughly one eighth as many mix64 rounds as hash_words
+//     over the wide words.  It is never written anywhere, so it is free to
+//     depend on the host's byte order.
+//
+// Exactness of exploration never depends on either: every fingerprint hit is
+// confirmed against the full stored encoding.
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <span>
-#include <string_view>
 
 namespace rc11::support {
 
@@ -22,21 +33,8 @@ constexpr void hash_combine(std::size_t& seed, const T& value) {
   seed ^= std::hash<T>{}(value) + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2);
 }
 
-/// 64-bit FNV-1a over a byte span; used on serialized state encodings.
-[[nodiscard]] constexpr std::uint64_t fnv1a(std::span<const std::byte> bytes) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const std::byte b : bytes) {
-    h ^= static_cast<std::uint64_t>(b);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-/// splitmix64 finaliser: a fast, full-avalanche 64-bit mixer.  Two
-/// multiplications per word instead of FNV-1a's eight make this the digest
-/// of choice for the exploration hot path (visited-set fingerprints), where
-/// hash quality only affects probe lengths, never correctness — every
-/// fingerprint hit is confirmed against the full encoding.
+/// splitmix64 finaliser: a fast, full-avalanche 64-bit mixer (two
+/// multiplications per call).
 [[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
   x ^= x >> 30;
   x *= 0xbf58476d1ce4e5b9ULL;
@@ -48,9 +46,7 @@ constexpr void hash_combine(std::size_t& seed, const T& value) {
 
 /// Digest of a word sequence via chained mix64 (Merkle–Damgård over the
 /// splitmix64 finaliser, length-seeded so prefixes do not collide trivially).
-/// All 64 output bits are well distributed: the sharded visited set routes
-/// shards by the top bits and indexes open-addressing tables by the bottom
-/// bits of the same digest.
+/// The persisted state digest: see the header comment.
 [[nodiscard]] constexpr std::uint64_t hash_words(
     std::span<const std::uint64_t> words) noexcept {
   std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ mix64(words.size());
@@ -58,26 +54,28 @@ constexpr void hash_combine(std::size_t& seed, const T& value) {
   return h;
 }
 
-/// Incremental FNV-1a hasher for streaming integer words into a digest.
-/// The canonical state encoder feeds fixed-width words so that encodings are
-/// prefix-free and hashing is byte-order independent at the word level.
-class WordHasher {
- public:
-  void add(std::uint64_t word) noexcept {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (word >> (8 * i)) & 0xffU;
-      h_ *= 0x100000001b3ULL;
-    }
+/// Digest of a byte string, chaining mix64 over 8-byte chunks loaded in host
+/// byte order (the last one zero-padded; the length seed keeps the padding
+/// unambiguous).  All 64
+/// output bits are well distributed: the sharded visited set routes shards
+/// by the top bits and indexes open-addressing tables by the bottom bits of
+/// the same digest.  In-memory only: see the header comment.
+[[nodiscard]] inline std::uint64_t digest_bytes(
+    std::span<const std::uint8_t> bytes) noexcept {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ mix64(bytes.size());
+  const std::uint8_t* p = bytes.data();
+  std::size_t n = bytes.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint64_t chunk = 0;
+    std::memcpy(&chunk, p, 8);
+    h = mix64(h ^ chunk);
   }
-
-  void add_signed(std::int64_t word) noexcept {
-    add(static_cast<std::uint64_t>(word));
+  if (n != 0) {
+    std::uint64_t chunk = 0;
+    std::memcpy(&chunk, p, n);
+    h = mix64(h ^ chunk);
   }
-
-  [[nodiscard]] std::uint64_t digest() const noexcept { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
+  return h;
+}
 
 }  // namespace rc11::support

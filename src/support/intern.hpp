@@ -7,17 +7,30 @@
 //     works exclusively with dense integer ids; names are kept only for
 //     diagnostics and pretty-printing.
 //
+//   * PackedWords — the key every interned set probes with: a word
+//     sequence's LEB128-varint serialisation plus digest_bytes over those
+//     serialised bytes.  Serialising first and digesting the compact form
+//     (most encoding words are tiny, so ~110 words pack into ~114 bytes)
+//     costs one pointer-walking pass over the words and ~15 mix64 rounds,
+//     where digesting the wide words alone cost ~110.  A reused PackedWords
+//     only ever grows its buffer, so a warm key allocates nothing.
+//
 //   * InternedWordSet — the state-representation workhorse behind the
 //     explorer's visited sets: a set of uint64 word sequences (canonical
 //     state encodings) stored as an open-addressing fingerprint table over
-//     an append-only byte arena.  Compared with the former
-//     unordered_map<digest, vector<index>> + vector<vector<uint64_t>>
-//     layout this removes every per-state heap allocation (one flat table,
-//     one flat arena) and shrinks the stored form by varint-compressing the
-//     encoding words, most of which are tiny (op tags, mo ranks, sizes).
+//     an append-only byte arena holding exactly the PackedWords bytes.  No
+//     per-state heap allocation (one flat table, one flat arena), and a
+//     duplicate costs one serialisation, one digest and one memcmp.
 //     Exactness is preserved: a fingerprint hit is only a duplicate after
 //     the full stored encoding compares equal, so a digest collision can
-//     never drop a genuinely new state — it costs one memcmp.
+//     never drop a genuinely new state.
+//
+// Every entry point of every interned set — InternedWordSet here, and
+// ShardedVisitedSet / SeqMaskedSet in engine/sharded_visited.hpp — takes
+// either a PackedWords or the words themselves, which it packs through
+// PackedWords::assign.  There is no way to hand a set a digest computed any
+// other way, so states seeded from an initial state or a checkpoint and the
+// same states reached again as successors always meet in the same slot.
 
 #pragma once
 
@@ -73,13 +86,62 @@ class SymbolTable {
   std::unordered_map<std::string, SymbolId> ids_;
 };
 
+/// A word sequence in the compact form the interned sets store and compare,
+/// plus the digest they probe with (see the header comment).
+class PackedWords {
+ public:
+  PackedWords() = default;
+  explicit PackedWords(std::span<const std::uint64_t> words) { assign(words); }
+
+  /// Serialises `words` (LEB128 varints, back to back) into the reused
+  /// buffer and digests the result.
+  void assign(std::span<const std::uint64_t> words) {
+    const std::size_t worst = words.size() * kMaxVarintBytes;
+    if (buf_.size() < worst) buf_.resize(worst);
+    std::uint8_t* const begin = buf_.data();
+    std::uint8_t* p = begin;
+    for (std::uint64_t w : words) {
+      while (w >= 0x80) {
+        *p++ = static_cast<std::uint8_t>(w) | 0x80U;
+        w >>= 7;
+      }
+      *p++ = static_cast<std::uint8_t>(w);
+    }
+    len_ = static_cast<std::size_t>(p - begin);
+    digest_ = digest_bytes(bytes());
+  }
+
+  [[nodiscard]] std::span<const std::uint8_t> bytes() const noexcept {
+    return {buf_.data(), len_};
+  }
+  [[nodiscard]] std::size_t size() const noexcept { return len_; }
+  [[nodiscard]] std::uint64_t digest() const noexcept { return digest_; }
+  /// Heap bytes held by the serialisation buffer.
+  [[nodiscard]] std::size_t capacity() const noexcept { return buf_.capacity(); }
+
+  /// Overwrites the digest of the packed sequence.  Tests use it to force
+  /// fingerprint collisions between distinct sequences; nothing else should.
+  void set_digest_for_testing(std::uint64_t digest) noexcept { digest_ = digest; }
+
+ private:
+  static constexpr std::size_t kMaxVarintBytes = 10;  // ceil(64 / 7)
+
+  std::vector<std::uint8_t> buf_;  // sized for the worst case, only grows
+  std::size_t len_ = 0;
+  std::uint64_t digest_ = digest_bytes({});
+};
+
 /// An exact set of uint64 word sequences, interned into a flat arena.
 ///
 /// Layout: an open-addressing (linear-probe) table of 16-byte entries
 /// `(digest, offset | length)` plus one append-only byte arena holding the
-/// LEB128-varint serialisation of every distinct sequence, back to back.
+/// PackedWords serialisation of every distinct sequence, back to back.
 /// Membership is decided by digest first and confirmed by comparing the full
-/// serialised sequence, so the set is exact for any digest function.
+/// serialised sequence, so the set is exact for any digest.
+///
+/// Each operation comes in two forms: one taking a PackedWords (callers that
+/// pack outside a lock, and tests forcing collisions) and one taking the
+/// words, which packs them into the set's own reused key first.
 ///
 /// Not thread-safe: the sharded visited set wraps one instance per shard
 /// behind the shard mutex; sequential explorers use one instance directly.
@@ -88,39 +150,22 @@ class InternedWordSet {
   InternedWordSet() { table_.resize(kInitialSlots, Entry{0, kEmptySlot}); }
 
   /// Inserts the sequence, returning true iff it was not present before.
-  /// The digest must be a pure function of `words` (same function for every
-  /// insert into this set); use the overload below unless the caller already
-  /// computed it for routing.
-  bool insert(std::span<const std::uint64_t> words, std::uint64_t digest) {
-    scratch_.clear();
-    for (const auto w : words) append_varint(scratch_, w);
-    RC11_REQUIRE(scratch_.size() < kMaxEncodedBytes,
-                 "state encoding exceeds the interned-arena entry limit");
-    if ((count_ + 1) * 4 >= table_.size() * 3) grow();
-    const std::uint64_t mask = table_.size() - 1;
-    for (std::uint64_t i = digest & mask;; i = (i + 1) & mask) {
-      Entry& e = table_[i];
-      if (e.off_len == kEmptySlot) {
-        const std::uint64_t off = arena_.size();
-        arena_.insert(arena_.end(), scratch_.begin(), scratch_.end());
-        e.digest = digest;
-        e.off_len = (off << kLenBits) | scratch_.size();
-        count_ += 1;
-        return true;
-      }
-      if (e.digest == digest && equals_scratch(e)) return false;
-    }
+  bool insert(const PackedWords& key) {
+    const std::size_t i = probe_for_insert(key);
+    if (table_[i].off_len != kEmptySlot) return false;
+    place(i, key);
+    return true;
   }
 
-  /// Convenience overload computing the digest with hash_words.
   bool insert(std::span<const std::uint64_t> words) {
-    return insert(words, hash_words(words));
+    scratch_.assign(words);
+    return insert(scratch_);
   }
 
-  /// Insert result with the dense id assigned to the sequence.  `id` is only
-  /// meaningful when `inserted` is true (duplicates never need ids in the
-  /// exploration engine: a state re-entering the visited set never re-enters
-  /// the frontier).
+  /// Insert result with the dense id assigned to the sequence.  From
+  /// insert_ided, `id` is only meaningful when `inserted` is true
+  /// (exhaustive drivers never need a duplicate's id: a state re-entering
+  /// the visited set never re-enters the frontier).
   struct IdedInsert {
     bool inserted = false;
     std::uint32_t id = 0;
@@ -130,56 +175,31 @@ class InternedWordSet {
   /// insertion order) and remembers its arena slot so the full encoding can
   /// be decoded back by id — the hook the witness subsystem's parent-link
   /// trace reconstruction hangs off.  A set must use either insert() or
-  /// insert_ided() exclusively; mixing would desynchronise the id → slot
+  /// the ided forms exclusively; mixing would desynchronise the id → slot
   /// index (enforced below).
-  IdedInsert insert_ided(std::span<const std::uint64_t> words,
-                         std::uint64_t digest) {
-    RC11_REQUIRE(slots_.size() == count_,
-                 "insert_ided on a set already used with plain insert");
-    if (!insert(words, digest)) return {false, 0};
-    // insert() appended the new payload at the end of the arena.
-    const auto id = static_cast<std::uint32_t>(count_ - 1);
-    const std::uint64_t len = scratch_.size();
-    const std::uint64_t off = arena_.size() - len;
-    slots_.push_back((off << kLenBits) | len);
-    return {true, id};
+  IdedInsert insert_ided(const PackedWords& key) {
+    return intern_ided(key, /*resolve=*/false);
   }
 
   IdedInsert insert_ided(std::span<const std::uint64_t> words) {
-    return insert_ided(words, hash_words(words));
+    scratch_.assign(words);
+    return insert_ided(scratch_);
   }
 
   /// Like insert_ided(), but duplicates resolve to the id they were assigned
   /// when first interned instead of an invalid one.  The sampling engine
   /// needs this: episodes revisit states constantly, and a revisited state's
-  /// id is the parent link for the next sampled step.  Duplicates are found
-  /// by re-probing the table and mapping the matching entry's arena slot
-  /// back to its id — slots_ stores off_len in id order and arena offsets
-  /// are strictly increasing, so slots_ is sorted and the slot is binary-
-  /// searchable.  Same exclusivity rule as insert_ided().
-  IdedInsert resolve_ided(std::span<const std::uint64_t> words,
-                          std::uint64_t digest) {
-    const IdedInsert fresh = insert_ided(words, digest);
-    if (fresh.inserted) return fresh;
-    // Duplicate: scratch_ still holds the serialisation from insert().
-    const std::uint64_t mask = table_.size() - 1;
-    for (std::uint64_t i = digest & mask;; i = (i + 1) & mask) {
-      const Entry& e = table_[i];
-      RC11_REQUIRE(e.off_len != kEmptySlot,
-                   "resolve_ided: duplicate vanished from the table");
-      if (e.digest == digest && equals_scratch(e)) {
-        const auto it =
-            std::lower_bound(slots_.begin(), slots_.end(), e.off_len);
-        RC11_REQUIRE(it != slots_.end() && *it == e.off_len,
-                     "resolve_ided: interned slot missing from the id index");
-        return {false,
-                static_cast<std::uint32_t>(std::distance(slots_.begin(), it))};
-      }
-    }
+  /// id is the parent link for the next sampled step.  The matching entry's
+  /// arena slot maps back to its id — slots_ stores off_len in id order and
+  /// arena offsets are strictly increasing, so slots_ is sorted and the slot
+  /// is binary-searchable.  Same exclusivity rule as insert_ided().
+  IdedInsert resolve_ided(const PackedWords& key) {
+    return intern_ided(key, /*resolve=*/true);
   }
 
   IdedInsert resolve_ided(std::span<const std::uint64_t> words) {
-    return resolve_ided(words, hash_words(words));
+    scratch_.assign(words);
+    return resolve_ided(scratch_);
   }
 
   /// Decodes the sequence with the given id (assigned by insert_ided) back
@@ -205,28 +225,19 @@ class InternedWordSet {
   }
 
   /// True iff the sequence is present (no mutation).
+  [[nodiscard]] bool contains(const PackedWords& key) const {
+    return table_[probe(key)].off_len != kEmptySlot;
+  }
+
   [[nodiscard]] bool contains(std::span<const std::uint64_t> words) const {
-    const std::uint64_t digest = hash_words(words);
-    std::vector<std::uint8_t> bytes;
-    for (const auto w : words) append_varint(bytes, w);
-    const std::uint64_t mask = table_.size() - 1;
-    for (std::uint64_t i = digest & mask;; i = (i + 1) & mask) {
-      const Entry& e = table_[i];
-      if (e.off_len == kEmptySlot) return false;
-      if (e.digest == digest && e.length() == bytes.size() &&
-          (bytes.empty() ||
-           std::memcmp(arena_.data() + e.offset(), bytes.data(),
-                       bytes.size()) == 0)) {
-        return true;
-      }
-    }
+    return contains(PackedWords(words));
   }
 
   /// Number of distinct sequences interned.
   [[nodiscard]] std::size_t size() const noexcept { return count_; }
 
-  /// Heap footprint: arena + table + scratch capacity (+ the id index when
-  /// insert_ided is in use).  This is the figure reported as
+  /// Heap footprint: arena + table + packing-key capacity (+ the id index
+  /// when the ided forms are in use).  This is the figure reported as
   /// ExploreStats::visited_bytes.
   [[nodiscard]] std::size_t bytes() const noexcept {
     return arena_.capacity() + table_.capacity() * sizeof(Entry) +
@@ -256,19 +267,56 @@ class InternedWordSet {
     }
   };
 
-  static void append_varint(std::vector<std::uint8_t>& out, std::uint64_t w) {
-    while (w >= 0x80) {
-      out.push_back(static_cast<std::uint8_t>(w) | 0x80U);
-      w >>= 7;
+  /// The one probe: the index of the entry holding `key`, or of the empty
+  /// slot where it belongs.
+  [[nodiscard]] std::size_t probe(const PackedWords& key) const {
+    const std::uint64_t mask = table_.size() - 1;
+    const std::uint64_t digest = key.digest();
+    for (std::uint64_t i = digest & mask;; i = (i + 1) & mask) {
+      const Entry& e = table_[i];
+      if (e.off_len == kEmptySlot) return i;
+      if (e.digest == digest && e.length() == key.size() &&
+          (key.size() == 0 ||
+           std::memcmp(arena_.data() + e.offset(), key.bytes().data(),
+                       key.size()) == 0)) {
+        return i;
+      }
     }
-    out.push_back(static_cast<std::uint8_t>(w));
   }
 
-  [[nodiscard]] bool equals_scratch(const Entry& e) const noexcept {
-    return e.length() == scratch_.size() &&
-           (scratch_.empty() ||
-            std::memcmp(arena_.data() + e.offset(), scratch_.data(),
-                        scratch_.size()) == 0);
+  /// probe() after making room for one more entry.
+  std::size_t probe_for_insert(const PackedWords& key) {
+    RC11_REQUIRE(key.size() < kMaxEncodedBytes,
+                 "state encoding exceeds the interned-arena entry limit");
+    if ((count_ + 1) * 4 >= table_.size() * 3) grow();
+    return probe(key);
+  }
+
+  /// Appends `key` to the arena and records it in empty slot `i`.
+  void place(std::size_t i, const PackedWords& key) {
+    const std::uint64_t off = arena_.size();
+    const auto bytes = key.bytes();
+    arena_.insert(arena_.end(), bytes.begin(), bytes.end());
+    table_[i] = Entry{key.digest(), (off << kLenBits) | key.size()};
+    count_ += 1;
+  }
+
+  IdedInsert intern_ided(const PackedWords& key, bool resolve) {
+    RC11_REQUIRE(slots_.size() == count_,
+                 "ided insert on a set already used with plain insert");
+    const std::size_t i = probe_for_insert(key);
+    const std::uint64_t off_len = table_[i].off_len;
+    if (off_len == kEmptySlot) {
+      place(i, key);
+      slots_.push_back(table_[i].off_len);
+      return {true, static_cast<std::uint32_t>(count_ - 1)};
+    }
+    if (!resolve) return {false, 0};
+    const auto it = std::lower_bound(slots_.begin(), slots_.end(), off_len);
+    RC11_REQUIRE(it != slots_.end() && *it == off_len,
+                 "resolve_ided: interned slot missing from the id index");
+    return {false,
+            static_cast<std::uint32_t>(std::distance(slots_.begin(), it))};
   }
 
   void grow() {
@@ -283,10 +331,10 @@ class InternedWordSet {
     }
   }
 
-  std::vector<Entry> table_;           // open addressing, power-of-two size
-  std::vector<std::uint8_t> arena_;    // varint payloads, back to back
-  std::vector<std::uint8_t> scratch_;  // serialisation buffer, reused
-  std::vector<std::uint64_t> slots_;   // off_len by id (insert_ided only)
+  std::vector<Entry> table_;          // open addressing, power-of-two size
+  std::vector<std::uint8_t> arena_;   // varint payloads, back to back
+  PackedWords scratch_;               // packing key for the word overloads
+  std::vector<std::uint64_t> slots_;  // off_len by id (ided forms only)
   std::size_t count_ = 0;
 };
 

@@ -1,21 +1,30 @@
-// State-representation exactness: the interned visited set (and its
-// lock-striped wrapper) must be indistinguishable from a reference
-// std::set<std::vector<uint64_t>> oracle — over full explorations of every
-// sample program and litmus test, over adversarial randomized inserts, and
-// under forced digest collisions.  Also pins down the encode()/encode_into
-// equivalence and the pooled-StepBuffer/vector successor equivalence the
-// hot-path rewiring relies on.
+// State-representation exactness: the interned visited set (and every
+// wrapper over it — the lock-striped set's plain, traced, resolving and
+// masked forms, and the sequential masked set) must be indistinguishable
+// from a reference std::set<std::vector<uint64_t>> oracle — over full
+// explorations of every sample program and litmus test, over adversarial
+// randomized inserts, under forced digest collisions, and across the
+// seed-then-reach boundary (initial state and checkpoint seeding against
+// successor lookups).  Also pins down the encode()/encode_into equivalence
+// and the pooled-StepBuffer/vector successor equivalence the hot-path
+// rewiring relies on, including the drivers' hand-back of duplicates.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <deque>
+#include <functional>
+#include <map>
+#include <memory>
 #include <random>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "engine/checkpoint.hpp"
 #include "engine/sharded_visited.hpp"
+#include "explore/explorer.hpp"
 #include "lang/config.hpp"
 #include "litmus/litmus.hpp"
 #include "parser/parser.hpp"
@@ -26,7 +35,10 @@ namespace {
 using namespace rc11;
 using lang::Config;
 using lang::System;
+using engine::SeqMaskedSet;
+using engine::ShardedVisitedSet;
 using support::InternedWordSet;
+using support::PackedWords;
 
 std::string prog(const std::string& name) {
   return std::string(RC11_SRC_DIR) + "/tools/programs/" + name;
@@ -123,48 +135,172 @@ TEST(StateRepr, EncodeIntoMatchesEncode) {
 }
 
 TEST(StateRepr, PooledSuccessorsMatchVectorSuccessors) {
-  for (auto& test : litmus::all_tests()) {
-    lang::StepBuffer buf;  // deliberately reused across states and tests
-    std::deque<Config> frontier;
-    std::set<std::vector<std::uint64_t>> seen;
-    frontier.push_back(lang::initial_config(test.sys));
-    while (!frontier.empty() && seen.size() < 300) {
-      Config cfg = std::move(frontier.front());
-      frontier.pop_front();
-      if (!seen.insert(cfg.encode()).second) continue;
-      const auto fresh = lang::successors(test.sys, cfg, /*want_labels=*/true);
-      lang::successors(test.sys, cfg, buf, /*want_labels=*/true);
-      ASSERT_EQ(buf.size(), fresh.size()) << test.name;
-      for (std::size_t i = 0; i < fresh.size(); ++i) {
-        const auto& pooled = buf.steps()[i];
-        EXPECT_EQ(pooled.thread, fresh[i].thread) << test.name;
-        EXPECT_EQ(pooled.label, fresh[i].label) << test.name;
-        EXPECT_EQ(pooled.after.encode(), fresh[i].after.encode()) << test.name;
+  lang::StepBuffer buf;  // deliberately reused across states, tests and modes
+  for (const bool want_labels : {true, false}) {
+    for (auto& test : litmus::all_tests()) {
+      std::deque<Config> frontier;
+      std::set<std::vector<std::uint64_t>> seen;
+      frontier.push_back(lang::initial_config(test.sys));
+      std::size_t n = 0;
+      while (!frontier.empty() && seen.size() < 300) {
+        Config cfg = std::move(frontier.front());
+        frontier.pop_front();
+        if (!seen.insert(cfg.encode()).second) continue;
+        const auto fresh = lang::successors(test.sys, cfg, want_labels);
+        lang::successors(test.sys, cfg, buf, want_labels);
+        ASSERT_EQ(buf.size(), fresh.size()) << test.name;
+        for (std::size_t i = 0; i < fresh.size(); ++i) {
+          auto& pooled = buf.steps()[i];
+          EXPECT_EQ(pooled.thread, fresh[i].thread) << test.name;
+          EXPECT_EQ(pooled.label, fresh[i].label) << test.name;
+          EXPECT_EQ(pooled.after.encode(), fresh[i].after.encode())
+              << test.name;
+          // Mix the drivers' three fates for a slot before the next refill:
+          // left in place (a duplicate encoded in place), moved out and
+          // handed back (a duplicate found after a move), or moved out for
+          // good (an enqueued state; the slot is rebuilt on reuse).
+          switch (n++ % 3) {
+            case 0:
+              break;
+            case 1: {
+              Config out = std::move(pooled.after);
+              pooled.after = std::move(out);
+              break;
+            }
+            default: {
+              Config gone = std::move(pooled.after);
+              (void)gone;
+              break;
+            }
+          }
+        }
+        for (const auto& step : fresh) frontier.push_back(step.after);
       }
-      for (const auto& step : fresh) frontier.push_back(step.after);
     }
   }
 }
 
+/// One visited-set flavour under test, driven through its PackedWords entry
+/// point.  `offer` returns the set's novelty verdict and, for the forms that
+/// resolve duplicates, the id the sequence resolved to (kNoState otherwise).
+struct SetUnderTest {
+  std::string name;
+  std::function<std::pair<bool, std::uint64_t>(const PackedWords&)> offer;
+  bool resolves = false;  ///< duplicates report the first insert's id
+};
+
+std::vector<SetUnderTest> every_set_flavour() {
+  std::vector<SetUnderTest> out;
+  const auto no_id = ShardedVisitedSet::kNoState;
+  {
+    auto set = std::make_shared<InternedWordSet>();
+    out.push_back({"interned.insert",
+                   [set, no_id](const PackedWords& k) {
+                     return std::pair{set->insert(k), no_id};
+                   },
+                   false});
+  }
+  {
+    auto set = std::make_shared<InternedWordSet>();
+    out.push_back({"interned.resolve_ided",
+                   [set](const PackedWords& k) {
+                     const auto r = set->resolve_ided(k);
+                     return std::pair{r.inserted, std::uint64_t{r.id}};
+                   },
+                   true});
+  }
+  for (const unsigned shards : {1U, 64U}) {
+    const std::string tag = "sharded(" + std::to_string(shards) + ").";
+    {
+      auto set = std::make_shared<ShardedVisitedSet>(shards);
+      out.push_back({tag + "insert",
+                     [set, no_id](const PackedWords& k) {
+                       return std::pair{set->insert(k), no_id};
+                     },
+                     false});
+    }
+    {
+      auto set = std::make_shared<ShardedVisitedSet>(shards);
+      out.push_back({tag + "insert_traced",
+                     [set](const PackedWords& k) {
+                       const auto r =
+                           set->insert_traced(k, ShardedVisitedSet::kNoState,
+                                              0, std::string{"step"});
+                       return std::pair{r.inserted, r.id};
+                     },
+                     false});
+    }
+    {
+      auto set = std::make_shared<ShardedVisitedSet>(shards);
+      out.push_back({tag + "resolve_traced",
+                     [set](const PackedWords& k) {
+                       const auto r =
+                           set->resolve_traced(k, ShardedVisitedSet::kNoState,
+                                               0, std::string{"step"});
+                       return std::pair{r.inserted, r.id};
+                     },
+                     true});
+    }
+    {
+      auto set = std::make_shared<ShardedVisitedSet>(shards);
+      out.push_back({tag + "insert_masked",
+                     [set, no_id](const PackedWords& k) {
+                       return std::pair{set->insert_masked(k, 0).inserted,
+                                        no_id};
+                     },
+                     false});
+    }
+  }
+  {
+    auto set = std::make_shared<SeqMaskedSet>();
+    out.push_back({"seq_masked",
+                   [set, no_id](const PackedWords& k) {
+                     return std::pair{set->insert_masked(k, 0).inserted, no_id};
+                   },
+                   false});
+  }
+  return out;
+}
+
 TEST(StateRepr, ForcedDigestCollisionsStayExact) {
-  InternedWordSet set;
-  // Adversarial digests: every sequence claims the same fingerprint, so
-  // novelty must be decided by the stored encodings alone.
-  const std::uint64_t digest = 0xdeadbeefULL;
-  std::vector<std::vector<std::uint64_t>> seqs = {
+  // Adversarial digests: every sequence claims the same fingerprint (and so
+  // the same shard and home slot), so novelty must be decided by the stored
+  // encodings alone — in every set flavour.
+  const std::vector<std::vector<std::uint64_t>> seqs = {
       {}, {0}, {1}, {0, 0}, {0, 1}, {1, 0}, {1ULL << 40}, {0x7f}, {0x80},
       {0x7f, 0x80}, {~0ULL}, {~0ULL, ~0ULL},
   };
-  for (const auto& s : seqs) EXPECT_TRUE(set.insert(s, digest)) << s.size();
-  for (const auto& s : seqs) EXPECT_FALSE(set.insert(s, digest)) << s.size();
-  EXPECT_EQ(set.size(), seqs.size());
+  std::vector<PackedWords> keys;
+  for (const auto& words : seqs) {
+    keys.emplace_back(words);
+    keys.back().set_digest_for_testing(0xdeadbeefULL);
+  }
+  for (auto& set : every_set_flavour()) {
+    std::vector<std::uint64_t> ids;
+    for (const auto& k : keys) {
+      const auto [fresh, id] = set.offer(k);
+      EXPECT_TRUE(fresh) << set.name;
+      ids.push_back(id);
+    }
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      const auto [fresh, id] = set.offer(keys[i]);
+      EXPECT_FALSE(fresh) << set.name << " seq " << i;
+      if (set.resolves) EXPECT_EQ(id, ids[i]) << set.name << " seq " << i;
+    }
+  }
+  InternedWordSet plain;
+  for (const auto& k : keys) plain.insert(k);
+  EXPECT_EQ(plain.size(), keys.size());
+  for (const auto& k : keys) EXPECT_TRUE(plain.contains(k));
 }
 
 TEST(StateRepr, RandomizedInsertsMatchOracle) {
   std::mt19937_64 rng(0xc0ffee);  // fixed seed: reproducible
-  std::set<std::vector<std::uint64_t>> oracle;
-  InternedWordSet interned;
-  engine::ShardedVisitedSet sharded(4);
+  std::map<std::vector<std::uint64_t>, std::size_t> oracle;  // -> first round
+  auto sets = every_set_flavour();
+  std::vector<std::vector<std::uint64_t>> first_ids(sets.size());
+  InternedWordSet by_words;  // the words entry point packs internally
+  PackedWords key;           // one reused key, as the drivers reuse theirs
   for (int round = 0; round < 20'000; ++round) {
     std::vector<std::uint64_t> words(rng() % 12);
     for (auto& w : words) {
@@ -173,13 +309,102 @@ TEST(StateRepr, RandomizedInsertsMatchOracle) {
       const auto shift = rng() % 64;
       w = rng() >> shift;
     }
-    const bool fresh = oracle.insert(words).second;
-    ASSERT_EQ(interned.insert(words), fresh) << "round " << round;
-    ASSERT_EQ(sharded.insert(words), fresh) << "round " << round;
+    const auto [it, fresh] = oracle.emplace(words, oracle.size());
+    ASSERT_EQ(by_words.insert(words), fresh) << "round " << round;
+    key.assign(words);
+    for (std::size_t s = 0; s < sets.size(); ++s) {
+      const auto [inserted, id] = sets[s].offer(key);
+      ASSERT_EQ(inserted, fresh) << sets[s].name << " round " << round;
+      if (fresh) {
+        first_ids[s].push_back(id);
+      } else if (sets[s].resolves) {
+        ASSERT_EQ(id, first_ids[s][it->second])
+            << sets[s].name << " round " << round;
+      }
+    }
   }
-  EXPECT_EQ(interned.size(), oracle.size());
-  EXPECT_EQ(sharded.size(), oracle.size());
-  for (const auto& words : oracle) EXPECT_TRUE(interned.contains(words));
+  EXPECT_EQ(by_words.size(), oracle.size());
+  for (const auto& [words, order] : oracle) {
+    EXPECT_TRUE(by_words.contains(words));
+  }
+}
+
+// --- seeded states reached again as successors ------------------------------
+
+/// Thread t1 loops forever flipping a register, so the initial state (and
+/// every state of the loop) is reached again as a successor; t2's release
+/// write and acquire read give the memory state some branching.
+constexpr const char* kLoopingProgram = R"(
+var x = 0;
+var y = 0;
+thread t1 {
+  reg r;
+  while (r == r) { r := 1 - r; }
+}
+thread t2 {
+  reg a;
+  x :=R 1;
+  a <-A y;
+}
+thread t3 {
+  reg b;
+  y :=R 2;
+  b <-A x;
+}
+)";
+
+std::size_t oracle_state_count(const System& sys) {
+  std::set<std::vector<std::uint64_t>> seen;
+  std::deque<Config> frontier;
+  Config init = lang::initial_config(sys);
+  seen.insert(init.encode());
+  frontier.push_back(std::move(init));
+  while (!frontier.empty()) {
+    Config cfg = std::move(frontier.front());
+    frontier.pop_front();
+    for (auto& step : lang::successors(sys, cfg)) {
+      if (seen.insert(step.after.encode()).second) {
+        frontier.push_back(std::move(step.after));
+      }
+    }
+  }
+  return seen.size();
+}
+
+TEST(StateRepr, SeededStatesReachedAgainMatchOracle) {
+  const auto program = parser::parse_program(kLoopingProgram);
+  const std::size_t expected = oracle_state_count(program.sys);
+  ASSERT_GT(expected, 20u);
+  for (const bool traced : {false, true}) {
+    for (const unsigned threads : {1U, 4U}) {
+      const std::string what = std::string(traced ? "traced" : "untraced") +
+                               " threads=" + std::to_string(threads);
+      explore::ExploreOptions opts;
+      opts.num_threads = threads;
+      opts.track_traces = traced;
+      const auto full = explore::explore(program.sys, opts);
+      EXPECT_EQ(full.stop, engine::StopReason::Complete) << what;
+      EXPECT_EQ(full.stats.states, expected) << what;
+
+      // Interrupt, checkpoint, resume: every checkpointed state is seeded
+      // and then reached again from the resumed frontier.
+      const std::string path = ::testing::TempDir() + "state_repr_seed_" +
+                               (traced ? "t" : "u") + std::to_string(threads) +
+                               ".json";
+      explore::ExploreOptions trunc = opts;
+      trunc.max_states = expected / 3;
+      trunc.checkpoint_path = path;
+      const auto cut = explore::explore(program.sys, trunc);
+      EXPECT_NE(cut.stop, engine::StopReason::Complete) << what;
+      const auto ckpt = engine::load_checkpoint(path);
+      std::remove(path.c_str());
+      explore::ExploreOptions resume = opts;
+      resume.resume = &ckpt;
+      const auto resumed = explore::explore(program.sys, resume);
+      EXPECT_EQ(resumed.stop, engine::StopReason::Complete) << what;
+      EXPECT_EQ(resumed.stats.states, expected) << what << " (resumed)";
+    }
+  }
 }
 
 }  // namespace
