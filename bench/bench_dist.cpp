@@ -16,8 +16,9 @@
 //
 // With --json the same numbers become BENCH_dist.json, diffed by CI against
 // bench/baseline_dist.json (state counts exact, throughput within
-// tolerance); states_per_s here prices the supervision tax — worker-side
-// path replay plus frame encode/decode — against the in-process driver.
+// tolerance); states_per_s here prices the supervision tax — JSON records,
+// frame encode/decode and wire-form decoding — against the in-process
+// driver.
 
 #include <benchmark/benchmark.h>
 
@@ -51,9 +52,9 @@ std::vector<Workload> workloads() {
   w.push_back({"dist_ticket_mgc_2x2",
                locks::instantiate(locks::mgc_client(2, 2), lock),
                /*por=*/false, /*rf_quotient=*/false, /*with_w4=*/true});
-  // Mid-size reduced workloads: worker-side path replay dominates, so these
-  // price the supervision tax where it actually bites.  The rf point skips
-  // the 4-worker run (replay under the quotient is the slowest path here).
+  // Mid-size reduced workloads: per-state supervision costs dominate, so
+  // these price the supervision tax where it actually bites.  The rf point
+  // skips the 4-worker run to keep the bench short.
   w.push_back({"dist_ticket_worker_2x4w8_por",
                locks::instantiate(locks::worker_client(2, 4, 8), lock),
                /*por=*/true, /*rf_quotient=*/false, /*with_w4=*/true});

@@ -17,7 +17,9 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -41,11 +43,11 @@ constexpr std::uint64_t kDefaultRetries = 2;
 /// budget, so a worker that dies outside any batch (e.g. repeated fork
 /// failure) cannot respawn-loop forever.
 constexpr std::uint64_t kLifetimeRestartSlack = 16;
-/// Worker-side replay memo: reset once it holds this many configurations.
-constexpr std::size_t kWorkerMemoCap = 1u << 17;
 /// Poll granularity cap: keeps deadline probing and timer handling
 /// responsive even when every timer is far away.
 constexpr int kPollSliceMs = 25;
+/// Bytes requested per read(2) from a pipe.
+constexpr std::size_t kReadChunk = 16384;
 
 std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   const char* v = std::getenv(name);
@@ -117,11 +119,18 @@ class SigpipeGuard {
 struct HopRec {
   memsem::ThreadId thread = 0;
   std::string label;
-  std::vector<std::uint64_t> enc;
+  std::vector<std::uint64_t> wire;  ///< the state's wire form
+  std::size_t canonical = 0;        ///< length of its canonical prefix
+
+  /// The canonical encoding: what the visited sets intern.
+  [[nodiscard]] std::span<const std::uint64_t> enc() const {
+    return {wire.data(), canonical};
+  }
 };
 
 struct SuccRec {
   std::vector<HopRec> hops;       ///< direct successor, then the chain walk
+  std::string wire_hex;           ///< the last hop's wire form, as received
   std::vector<std::uint64_t> key; ///< abstraction key (rf-quotient runs only)
 };
 
@@ -145,17 +154,24 @@ StateRec parse_state_result(const Json& r, bool rf_quotient) {
   for (const Json& e : r.at("events").items()) s.events.push_back(e);
   for (const Json& js : r.at("succs").items()) {
     SuccRec succ;
-    for (const Json& jh : js.at("hops").items()) {
+    const std::vector<Json>& hops = js.at("hops").items();
+    support::require(!hops.empty(), "wire schema: successor without hops");
+    for (const Json& jh : hops) {
       HopRec hop;
       hop.thread = get_thread(jh.at("t"));
       hop.label = jh.at("l").as_string();
-      hop.enc = wire::words_from_json(jh.at("e"));
-      support::require(!hop.enc.empty(), "wire schema: empty hop encoding");
+      wire::words_from_hex(jh.at("e").as_string(), hop.wire);
+      const std::uint64_t n = get_u64(jh.at("n"), "canonical word count");
+      support::require(n > 0 && n <= hop.wire.size(),
+                       "wire schema: canonical word count ", n,
+                       " out of range for a ", hop.wire.size(),
+                       "-word wire form");
+      hop.canonical = static_cast<std::size_t>(n);
       succ.hops.push_back(std::move(hop));
     }
-    support::require(!succ.hops.empty(), "wire schema: successor without hops");
+    succ.wire_hex = hops.back().at("e").as_string();
     if (rf_quotient) {
-      succ.key = wire::words_from_json(js.at("key"));
+      wire::words_from_hex(js.at("key").as_string(), succ.key);
       support::require(!succ.key.empty(),
                        "wire schema: empty abstraction key");
     }
@@ -187,7 +203,7 @@ void worker_send(int fd, const Json& msg) {
 /// Blocking read of the next frame from the supervisor.  EOF means the
 /// supervisor is gone (shutdown or death) — exit quietly either way.
 Json worker_read_msg(int fd, wire::FrameReader& reader) {
-  std::string payload;
+  std::string_view payload;
   std::string error;
   for (;;) {
     switch (reader.next(payload, error)) {
@@ -200,57 +216,30 @@ Json worker_read_msg(int fd, wire::FrameReader& reader) {
       case wire::FrameReader::Status::NeedMore:
         break;
     }
-    char buf[16384];
-    const ssize_t n = ::read(fd, buf, sizeof buf);
+    const ssize_t n = ::read(fd, reader.prepare(kReadChunk), kReadChunk);
     if (n == 0) ::_exit(0);
     if (n < 0) {
       if (errno == EINTR) continue;
       ::_exit(1);
     }
-    reader.feed(buf, static_cast<std::size_t>(n));
+    reader.commit(static_cast<std::size_t>(n));
   }
 }
 
-/// Rebuilds the Config a dispatched path names, digest-checking every hop
-/// (the witness-replay idiom: among the acting thread's enabled steps,
-/// exactly the recorded successor digest matches).  Memoised per digest so
-/// batches with shared path prefixes replay each prefix once.
-Config worker_replay(const TransitionSystem& ts, const Json& path,
-                     std::unordered_map<std::uint64_t, Config>& memo,
-                     StepBuffer& buf) {
-  const std::vector<Json>& edges = path.items();
-  Config cur = ts.initial();
-  std::size_t start = 0;
-  for (std::size_t i = edges.size(); i > 0; --i) {
-    const std::uint64_t d =
-        witness::digest_from_hex(edges[i - 1].at("d").as_string());
-    const auto it = memo.find(d);
-    if (it != memo.end()) {
-      cur = it->second;
-      start = i;
-      break;
-    }
-  }
-  for (std::size_t i = start; i < edges.size(); ++i) {
-    const memsem::ThreadId t = get_thread(edges[i].at("t"));
-    const std::uint64_t d =
-        witness::digest_from_hex(edges[i].at("d").as_string());
-    buf.clear();
-    ts.thread_successors_into(cur, t, buf, /*want_labels=*/false);
-    bool found = false;
-    for (lang::Step& step : buf.steps()) {
-      if (witness::config_digest(step.after) == d) {
-        std::swap(cur, step.after);
-        found = true;
-        break;
-      }
-    }
-    support::require(found, "frontier path does not replay at hop ", i,
-                     " (thread ", t, ")");
-    if (memo.size() >= kWorkerMemoCap) memo.clear();
-    memo.emplace(d, cur);
-  }
-  return cur;
+/// The state a batch entry names: its wire form decoded, then re-encoded
+/// and checked against the digest the supervisor sent with it, so a worker
+/// expands exactly the state the supervisor holds (canonical encoding and
+/// timestamps alike) or fails loudly.
+Config decode_dispatched(const lang::System& sys, const Json& entry,
+                         std::vector<std::uint64_t>& words) {
+  wire::words_from_hex(entry.at("w").as_string(), words);
+  const std::uint64_t want = witness::digest_from_hex(entry.at("d").as_string());
+  Config cfg = Config::decode_wire(sys, words);
+  words.clear();
+  cfg.encode_wire(words);
+  support::require(support::hash_words(words) == want,
+                   "dispatched state does not match its digest");
+  return cfg;
 }
 
 struct WorkerCtx {
@@ -281,9 +270,7 @@ struct WorkerCtx {
     const bool collapse = opts.por && ts.collapse_chains();
 
     wire::FrameReader reader;
-    std::unordered_map<std::uint64_t, Config> memo;
     StepBuffer steps;
-    StepBuffer replay_buf;
     StepBuffer chain_buf;
     AbstractKey key;
     std::vector<std::uint64_t> enc;
@@ -295,8 +282,9 @@ struct WorkerCtx {
       h.set("t", Json::integer(static_cast<std::int64_t>(thread)));
       h.set("l", Json::string(std::move(label)));
       enc.clear();
-      after.encode_into(enc);
-      h.set("e", wire::words_json(enc));
+      const std::size_t canonical = after.encode_wire(enc);
+      h.set("e", Json::string(wire::words_hex(enc)));
+      h.set("n", Json::integer(static_cast<std::int64_t>(canonical)));
       hops.push(std::move(h));
     };
 
@@ -323,8 +311,7 @@ struct WorkerCtx {
           hb.set("type", Json::string("hb"));
           worker_send(ctx.wfd, hb);
         }
-        const Config cfg =
-            worker_replay(ts, states[si].at("path"), memo, replay_buf);
+        const Config cfg = decode_dispatched(ts.system(), states[si], enc);
 
         Json r = Json::object();
         steps.clear();
@@ -367,7 +354,7 @@ struct WorkerCtx {
           s.set("hops", std::move(hops));
           if (abs != nullptr) {
             abs->key(after, key);
-            s.set("key", wire::words_json(key.encoding));
+            s.set("key", Json::string(wire::words_hex(key.encoding)));
           }
           succs.push(std::move(s));
         }
@@ -406,6 +393,13 @@ struct WorkerCtx {
 }
 
 // --- supervisor side ---------------------------------------------------------
+
+/// An enqueued state as the supervisor dispatches it: the hex wire form and
+/// the digest of its words, which the worker re-checks after decoding.
+struct WireForm {
+  std::string hex;
+  std::uint64_t digest = 0;
+};
 
 struct Batch {
   std::uint64_t seq = 0;
@@ -462,27 +456,32 @@ class Supervisor {
 
   void seed() {
     const Config init = ts_.initial();
-    const std::vector<std::uint64_t> enc = init.encode();
+    std::vector<std::uint64_t> words;
+    const std::size_t canonical = init.encode_wire(words);
+    const std::span<const std::uint64_t> enc(words.data(), canonical);
     const auto ins = sink_.insert_traced(enc, ShardedVisitedSet::kNoState, 0,
                                          "init");
     RC11_REQUIRE(ins.inserted, "supervised run requires an empty trace sink");
+    const std::uint64_t digest = support::hash_words(words);
     if (reduced_) {
       abs_->key(init, key_);
       canon_.insert_masked(key_.encoding, 0);
-      enqueue(ins.id, key_.encoding);
+      enqueue(ins.id, key_.encoding, wire::words_hex(words), digest);
     } else {
-      enqueue(ins.id, enc);
+      enqueue(ins.id, enc, wire::words_hex(words), digest);
     }
   }
 
   /// Appends a freshly interned frontier state: assigns the next global
-  /// enqueue index (the absorption order) and queues it on the hash
-  /// partition its key names.  A dead partition's work goes straight to
-  /// quarantine — it can never be served again.
-  void enqueue(std::uint64_t sink_id,
-               std::span<const std::uint64_t> part_key) {
+  /// enqueue index (the absorption order), keeps its wire form and digest
+  /// for dispatch until it is absorbed, and queues it on the hash partition
+  /// its key names.  A dead partition's work goes straight to quarantine —
+  /// it can never be served again.
+  void enqueue(std::uint64_t sink_id, std::span<const std::uint64_t> part_key,
+               std::string wire, std::uint64_t digest) {
     const std::uint64_t idx = states_by_idx_.size();
     states_by_idx_.push_back(sink_id);
+    wires_.push_back(WireForm{std::move(wire), digest});
     const auto part = static_cast<std::size_t>(support::hash_words(part_key) %
                                                nworkers_);
     if (slots_[part].dead_forever) {
@@ -503,7 +502,7 @@ class Supervisor {
       if (orphaned_.erase(next_absorb_) != 0) {
         telemetry_.states_orphaned += 1;
         consumed_ += 1;
-        next_absorb_ += 1;
+        advance_absorb();
         continue;
       }
       const auto it = ready_.find(next_absorb_);
@@ -511,9 +510,20 @@ class Supervisor {
       StateRec rec = std::move(it->second);
       ready_.erase(it);
       const Absorb outcome = absorb_one(next_absorb_, rec);
-      next_absorb_ += 1;
+      advance_absorb();
       if (outcome == Absorb::Stop) return false;
     }
+  }
+
+  /// Moves past the state at next_absorb_, dropping its wire form.
+  void advance_absorb() {
+    wires_.pop_front();
+    next_absorb_ += 1;
+  }
+
+  /// The kept wire form of a not-yet-absorbed state.
+  [[nodiscard]] const WireForm& wire_of(std::uint64_t idx) const {
+    return wires_[static_cast<std::size_t>(idx - next_absorb_)];
   }
 
   Absorb absorb_one(std::uint64_t idx, StateRec& rec) {
@@ -567,20 +577,22 @@ class Supervisor {
   void absorb_succ_plain(std::uint64_t parent, SuccRec& succ) {
     HopRec& h0 = succ.hops.front();
     const bool chain_start = collapse_ && succ.hops.size() > 1;
-    const auto ins = sink_.insert_traced(h0.enc, parent, h0.thread,
+    const auto ins = sink_.insert_traced(h0.enc(), parent, h0.thread,
                                          std::move(h0.label), !chain_start);
     if (!ins.inserted) return;
     std::uint64_t id = ins.id;
     for (std::size_t k = 1; k < succ.hops.size(); ++k) {
       HopRec& hk = succ.hops[k];
       const bool last = k + 1 == succ.hops.size();
-      const auto cins = sink_.insert_traced(hk.enc, id, hk.thread,
+      const auto cins = sink_.insert_traced(hk.enc(), id, hk.thread,
                                             std::move(hk.label), last);
       if (!cins.inserted) return;
       stats_.por_chained += 1;
       id = cins.id;
     }
-    enqueue(id, succ.hops.back().enc);
+    const HopRec& end = succ.hops.back();
+    enqueue(id, end.enc(), std::move(succ.wire_hex),
+            support::hash_words(end.wire));
   }
 
   /// Rf-quotient interning: intermediate hops resolve (walking through
@@ -591,13 +603,13 @@ class Supervisor {
   void absorb_succ_reduced(std::uint64_t parent, SuccRec& succ) {
     for (std::size_t k = 0; k + 1 < succ.hops.size(); ++k) {
       HopRec& hk = succ.hops[k];
-      parent = sink_.resolve_traced(hk.enc, parent, hk.thread,
+      parent = sink_.resolve_traced(hk.enc(), parent, hk.thread,
                                     std::move(hk.label), /*enqueued=*/false)
                    .id;
       stats_.por_chained += 1;
     }
     HopRec& last = succ.hops.back();
-    const auto cins = sink_.resolve_traced(last.enc, parent, last.thread,
+    const auto cins = sink_.resolve_traced(last.enc(), parent, last.thread,
                                            std::move(last.label),
                                            /*enqueued=*/false);
     const auto r = canon_.insert_masked(succ.key, 0);
@@ -606,7 +618,8 @@ class Supervisor {
       return;
     }
     sink_.mark_enqueued(cins.id);
-    enqueue(cins.id, succ.key);
+    enqueue(cins.id, succ.key, std::move(succ.wire_hex),
+            support::hash_words(last.wire));
   }
 
   // ---- process management ----
@@ -781,20 +794,11 @@ class Supervisor {
     msg.set("seq", Json::integer(static_cast<std::int64_t>(batch.seq)));
     msg.set("dispatch", Json::integer(static_cast<std::int64_t>(dispatch)));
     Json states = Json::array();
-    std::vector<std::uint64_t> enc;
     for (const std::uint64_t idx : batch.idxs) {
+      const WireForm& form = wire_of(idx);
       Json state = Json::object();
-      Json path = Json::array();
-      for (const auto& edge : sink_.path_to(states_by_idx_[idx])) {
-        enc.clear();
-        sink_.decode_state(edge.state, enc);
-        Json hop = Json::object();
-        hop.set("t", Json::integer(static_cast<std::int64_t>(edge.thread)));
-        hop.set("d", Json::string(
-                         witness::digest_to_hex(support::hash_words(enc))));
-        path.push(std::move(hop));
-      }
-      state.set("path", std::move(path));
+      state.set("w", Json::string(form.hex));
+      state.set("d", Json::string(witness::digest_to_hex(form.digest)));
       states.push(std::move(state));
     }
     msg.set("states", std::move(states));
@@ -821,7 +825,7 @@ class Supervisor {
 
   /// Handles one validated frame from worker `w`; throws support::Error on
   /// any schema violation (the caller poisons the worker).
-  void handle_frame(std::size_t w, const std::string& payload) {
+  void handle_frame(std::size_t w, std::string_view payload) {
     WorkerSlot& slot = slots_[w];
     const Json msg = Json::parse(payload);
     const std::string& type = msg.at("type").as_string();
@@ -858,11 +862,11 @@ class Supervisor {
   bool service_read(std::size_t w) {
     WorkerSlot& slot = slots_[w];
     bool eof = false;
-    char buf[16384];
     for (;;) {
-      const ssize_t n = ::read(slot.rfd, buf, sizeof buf);
+      const ssize_t n =
+          ::read(slot.rfd, slot.reader.prepare(kReadChunk), kReadChunk);
       if (n > 0) {
-        slot.reader.feed(buf, static_cast<std::size_t>(n));
+        slot.reader.commit(static_cast<std::size_t>(n));
         slot.last_heard = Clock::now();
         continue;
       }
@@ -875,7 +879,7 @@ class Supervisor {
       eof = true;
       break;
     }
-    std::string payload;
+    std::string_view payload;
     std::string error;
     for (;;) {
       const auto status = slot.reader.next(payload, error);
@@ -1047,6 +1051,8 @@ class Supervisor {
   std::vector<WorkerSlot> slots_;
   std::vector<std::deque<std::uint64_t>> queues_;  ///< per-partition FIFOs
   std::vector<std::uint64_t> states_by_idx_;       ///< enqueue idx -> sink id
+  /// Wire forms of the states not yet absorbed; front() is next_absorb_.
+  std::deque<WireForm> wires_;
   std::map<std::uint64_t, StateRec> ready_;        ///< buffered early results
   std::set<std::uint64_t> orphaned_;               ///< quarantined idxs
   std::uint64_t next_absorb_ = 0;
@@ -1101,45 +1107,6 @@ DistResult Supervisor::run() {
 }
 
 }  // namespace
-
-const Config& ConfigMaterializer::at(std::uint64_t id) {
-  const auto hit = memo_.find(id);
-  if (hit != memo_.end()) return hit->second;
-  const auto path = sink_.path_to(id);
-  Config cur = ts_.initial();
-  std::size_t start = 0;
-  for (std::size_t i = path.size(); i > 0; --i) {
-    const auto it = memo_.find(path[i - 1].state);
-    if (it != memo_.end()) {
-      cur = it->second;
-      start = i;
-      break;
-    }
-  }
-  std::vector<std::uint64_t> want;
-  std::vector<std::uint64_t> enc;
-  for (std::size_t i = start; i < path.size(); ++i) {
-    want.clear();
-    sink_.decode_state(path[i].state, want);
-    buf_.clear();
-    ts_.thread_successors_into(cur, path[i].thread, buf_,
-                               /*want_labels=*/false);
-    bool found = false;
-    for (lang::Step& step : buf_.steps()) {
-      enc.clear();
-      step.after.encode_into(enc);
-      if (enc == want) {
-        std::swap(cur, step.after);
-        found = true;
-        break;
-      }
-    }
-    RC11_REQUIRE(found, "trace sink path does not replay");
-    memo_.emplace(path[i].state, cur);
-  }
-  if (path.empty()) memo_.emplace(id, std::move(cur));
-  return memo_.at(id);
-}
 
 DistResult supervise_reach(const TransitionSystem& ts,
                            const DistOptions& options, DistDelegate& delegate,

@@ -2,7 +2,7 @@
 //
 // Crash-tolerant multi-process reachability: a supervisor process forks N
 // worker processes, hands them frontier batches over pipes (engine/wire.hpp
-// frames carrying JSON records derived from the checkpoint v1 format) and
+// frames carrying the JSON records of docs/FORMAT.md) and
 // merges their per-state results back into the exact bookkeeping the
 // sequential driver (engine/reach.cpp) would have done — same visited-set
 // interning, same stats, same stop reasons — so every checker built on
@@ -10,13 +10,17 @@
 // logic.
 //
 // Division of labour:
-//   * Workers are stateless evaluators.  A worker replays each dispatched
-//     state from its recorded path (digest-checked, exactly like witness
-//     replay), expands it with the engine's own expand_steps / chain_thread,
-//     runs the checker's per-state logic (DistDelegate::evaluate) and ships
-//     back successor chains, counts and checker events.  A worker owns the
-//     hash partition of the abstract-key space its slot index names; a
-//     restarted worker inherits the same partition.
+//   * Workers are stateless evaluators.  A worker decodes each dispatched
+//     state from its wire form (Config::decode_wire: the canonical encoding
+//     plus raw timestamps), re-checks the digest the supervisor sent with
+//     it, expands it with the engine's own expand_steps / chain_thread, runs
+//     the checker's per-state logic (DistDelegate::evaluate) and ships back
+//     successor chains (each hop in wire form), counts and checker events.
+//     A worker owns the hash partition of the abstract-key space its slot
+//     index names; a restarted worker inherits the same partition.
+//   * The supervisor keeps each enqueued state's wire form — as a worker
+//     sent it, or the initial state's — until that state is absorbed, and
+//     interns the canonical prefix of every hop.
 //   * The supervisor owns every verdict-bearing data structure.  It absorbs
 //     per-state results in strict global enqueue order (buffering early
 //     arrivals), interning successors into the caller's trace sink with the
@@ -50,7 +54,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "engine/abstraction.hpp"
@@ -109,8 +112,10 @@ class DistDelegate {
 
   /// Supervisor side: absorb one event evaluate() emitted for the state
   /// interned as `id` in `sink` (path_to / decode_state reconstruct traces
-  /// and witnesses).  Called in deterministic global state order, events in
-  /// emission order.  Return false to veto further exploration.
+  /// and witnesses; an event that needs the concrete state carries its wire
+  /// form, which Config::decode_wire inverts).  Called in deterministic
+  /// global state order, events in emission order.  Return false to veto
+  /// further exploration.
   virtual bool absorb(const witness::Json& event, std::uint64_t id,
                       const ShardedVisitedSet& sink) = 0;
 };
@@ -133,30 +138,6 @@ struct DistResult {
   StopReason stop = StopReason::Complete;
   DistTelemetry telemetry;
   [[nodiscard]] bool truncated() const { return stop != StopReason::Complete; }
-};
-
-/// Rebuilds concrete Configs for states interned in a traced sink by
-/// re-executing their recorded parent paths (the checkpoint restore idiom:
-/// one-way encodings are validated by finding the successor whose encoding
-/// matches the stored one).  Memoised, so materialising many states with
-/// shared path prefixes costs each prefix once.  Supervisor-side only —
-/// this is how the explorer hands real final Configs to its callers without
-/// ever shipping a Config over the wire.
-class ConfigMaterializer {
- public:
-  ConfigMaterializer(const TransitionSystem& ts, const ShardedVisitedSet& sink)
-      : ts_(ts), sink_(sink) {}
-
-  /// The concrete configuration interned as `id`.  Throws InternalError if
-  /// the recorded path does not replay (a sink corruption — cannot happen
-  /// for states this process interned itself).
-  [[nodiscard]] const Config& at(std::uint64_t id);
-
- private:
-  const TransitionSystem& ts_;
-  const ShardedVisitedSet& sink_;
-  std::unordered_map<std::uint64_t, Config> memo_;
-  StepBuffer buf_;
 };
 
 /// Runs the supervised multi-process exploration.  `sink` must be a fresh

@@ -7,6 +7,7 @@
 
 #include "engine/checkpoint.hpp"
 #include "engine/symmetry.hpp"
+#include "engine/wire.hpp"
 #include "support/diagnostics.hpp"
 #include "support/hash.hpp"
 
@@ -52,17 +53,16 @@ void sort_violations(std::vector<Violation>& violations) {
 /// The explorer's two halves of a supervised run (engine/supervise.hpp):
 /// evaluate() reproduces the visitor's per-state logic in the worker process
 /// as serialisable events; absorb() rebuilds violations (with traces and
-/// witnesses from the shared sink) and final configurations (re-executed via
-/// ConfigMaterializer) in the supervisor, in deterministic state order.
+/// witnesses from the shared sink) and final configurations (decoded from
+/// the wire form their event carries, checked against the sink) in the
+/// supervisor, in deterministic state order.
 class ExploreDelegate final : public engine::DistDelegate {
  public:
   ExploreDelegate(const System& sys, const ExploreOptions& options,
-                  const Invariant& invariant,
-                  engine::ConfigMaterializer& materializer)
+                  const Invariant& invariant)
       : sys_(sys),
         options_(options),
         invariant_(invariant),
-        materializer_(materializer),
         init_digest_(options.track_traces
                          ? witness::config_digest(lang::initial_config(sys))
                          : 0) {}
@@ -81,8 +81,11 @@ class ExploreDelegate final : public engine::DistDelegate {
       }
     }
     if (options_.collect_finals && steps.empty() && cfg.all_done(sys_)) {
+      std::vector<std::uint64_t> wire;
+      cfg.encode_wire(wire);
       witness::Json e = witness::Json::object();
       e.set("kind", witness::Json::string("final"));
+      e.set("wire", witness::Json::string(engine::wire::words_hex(wire)));
       events.push_back(std::move(e));
     }
     return keep;
@@ -119,11 +122,18 @@ class ExploreDelegate final : public engine::DistDelegate {
       return !options_.stop_on_violation;
     }
     if (kind == "final" && options_.collect_finals) {
-      const Config& done = materializer_.at(id);
+      std::vector<std::uint64_t> words;
+      engine::wire::words_from_hex(event.at("wire").as_string(), words);
+      Config done = Config::decode_wire(sys_, words);
       std::vector<std::uint64_t> enc;
-      enc.reserve(64);
       done.encode_into(enc);
-      if (final_dedup_.insert(enc)) finals.emplace_back(std::move(enc), done);
+      words.clear();
+      sink.decode_state(id, words);
+      support::require(enc == words,
+                       "final configuration does not match its state");
+      if (final_dedup_.insert(enc)) {
+        finals.emplace_back(std::move(enc), std::move(done));
+      }
     }
     return true;
   }
@@ -135,7 +145,6 @@ class ExploreDelegate final : public engine::DistDelegate {
   const System& sys_;
   const ExploreOptions& options_;
   const Invariant& invariant_;
-  engine::ConfigMaterializer& materializer_;
   const std::uint64_t init_digest_;
   ShardedVisitedSet final_dedup_;
 };
@@ -156,8 +165,7 @@ ExploreResult explore_dist(const System& sys, const ExploreOptions& options,
 
   engine::SystemTransitions ts(sys);
   engine::ShardedVisitedSet sink;
-  engine::ConfigMaterializer materializer(ts, sink);
-  ExploreDelegate delegate(sys, options, invariant, materializer);
+  ExploreDelegate delegate(sys, options, invariant);
 
   engine::DistOptions dopts;
   dopts.workers = options.workers;

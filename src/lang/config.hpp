@@ -51,6 +51,20 @@ struct Config {
   /// convention; encode() above is a convenience wrapper.
   void encode_into(std::vector<std::uint64_t>& out) const;
 
+  /// Appends the invertible wire form: encode_into's words followed by the
+  /// memory state's raw timestamps (MemState::encode_timestamps), so the
+  /// canonical encoding is its prefix.  Returns that prefix's length.  The
+  /// supervised driver ships states to its workers in this form.
+  std::size_t encode_wire(std::vector<std::uint64_t>& out) const;
+
+  /// Rebuilds the configuration of `sys` whose wire form is exactly
+  /// `words`.  Throws support::Error on malformed input (a pc past the end
+  /// of its thread's code, a register file of the wrong size, or anything
+  /// MemState::decode_wire rejects); whatever it accepts re-encodes to
+  /// exactly `words`.
+  [[nodiscard]] static Config decode_wire(const System& sys,
+                                          std::span<const std::uint64_t> words);
+
   [[nodiscard]] std::string to_string(const System& sys) const;
 };
 

@@ -31,6 +31,44 @@ void Config::encode_into(std::vector<std::uint64_t>& out) const {
   mem.encode(out);
 }
 
+std::size_t Config::encode_wire(std::vector<std::uint64_t>& out) const {
+  const std::size_t start = out.size();
+  encode_into(out);
+  const std::size_t canonical = out.size() - start;
+  mem.encode_timestamps(out);
+  return canonical;
+}
+
+Config Config::decode_wire(const System& sys,
+                           std::span<const std::uint64_t> words) {
+  const ThreadId num_threads = sys.num_threads();
+  std::size_t pos = 0;
+  const auto next = [&](const char* what) {
+    support::require(pos < words.size(), "wire form truncated reading ",
+                     what);
+    return words[pos++];
+  };
+  std::vector<std::uint32_t> pc(num_threads);
+  for (ThreadId t = 0; t < num_threads; ++t) {
+    const std::uint64_t p = next("program counter");
+    support::require(p <= sys.code(t).size(), "wire form: thread ", t,
+                     " pc ", p, " is past the end of its code");
+    pc[t] = static_cast<std::uint32_t>(p);
+  }
+  std::vector<std::vector<Value>> regs(num_threads);
+  for (ThreadId t = 0; t < num_threads; ++t) {
+    const std::uint64_t n = next("register count");
+    support::require(n == sys.num_regs(t), "wire form: thread ", t, " has ",
+                     n, " registers, expected ", sys.num_regs(t));
+    regs[t].resize(n);
+    for (auto& v : regs[t]) v = static_cast<Value>(next("register value"));
+  }
+  return Config{std::move(pc), std::move(regs),
+                memsem::MemState::decode_wire(sys.locations(), num_threads,
+                                              sys.options(),
+                                              words.subspan(pos))};
+}
+
 std::string Config::to_string(const System& sys) const {
   std::ostringstream os;
   for (ThreadId t = 0; t < sys.num_threads(); ++t) {

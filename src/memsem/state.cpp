@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <sstream>
+#include <span>
 
 #include "support/diagnostics.hpp"
 
@@ -521,6 +522,168 @@ void MemState::encode_quotient(std::vector<std::uint64_t>& out,
       out.push_back((static_cast<std::uint64_t>(cell.clock) << 32) | cell.pc);
     }
   }
+}
+
+void MemState::encode_timestamps(std::vector<std::uint64_t>& out) const {
+  if (!options_.canonical_timestamps) return;  // encode() embedded them
+  for (const auto& order : mo_) {
+    for (const OpId id : order) {
+      out.push_back(static_cast<std::uint64_t>(ops_[id].ts.numerator()));
+      out.push_back(static_cast<std::uint64_t>(ops_[id].ts.denominator()));
+    }
+  }
+}
+
+namespace {
+
+/// Bounds-checked cursor over a wire form: every read names what it wanted,
+/// so a truncated or hostile input fails with a diagnostic, never UB.
+class WireCursor {
+ public:
+  explicit WireCursor(std::span<const std::uint64_t> words) : words_(words) {}
+
+  std::uint64_t next(const char* what) {
+    support::require(pos_ < words_.size(), "wire form truncated reading ",
+                     what);
+    return words_[pos_++];
+  }
+
+  /// A word that must fit `limit` (inclusive).
+  std::uint64_t next_at_most(std::uint64_t limit, const char* what) {
+    const std::uint64_t w = next(what);
+    support::require(w <= limit, "wire form: ", what, " ", w,
+                     " out of range (max ", limit, ")");
+    return w;
+  }
+
+  /// Guards a count against the words left, so a hostile count cannot
+  /// drive an allocation larger than the input.
+  void expect(std::uint64_t count, std::uint64_t stride, const char* what) {
+    support::require(stride == 0 || count <= left() / stride,
+                     "wire form truncated: ", count, " ", what,
+                     " do not fit in ", left(), " words");
+  }
+
+  Rational rational(const char* what) {
+    const auto num = static_cast<std::int64_t>(next(what));
+    const auto den = static_cast<std::int64_t>(next(what));
+    support::require(den > 0, "wire form: ", what,
+                     " has a non-positive denominator");
+    const Rational r(num, den);
+    support::require(r.numerator() == num && r.denominator() == den,
+                     "wire form: ", what, " ", num, "/", den,
+                     " is not in lowest terms");
+    return r;
+  }
+
+  [[nodiscard]] std::size_t left() const noexcept {
+    return words_.size() - pos_;
+  }
+
+ private:
+  std::span<const std::uint64_t> words_;
+  std::size_t pos_ = 0;
+};
+
+}  // namespace
+
+MemState MemState::decode_wire(const LocationTable& locs, ThreadId num_threads,
+                               SemanticsOptions options,
+                               std::span<const std::uint64_t> words) {
+  support::require(num_threads > 0, "a system needs at least one thread");
+  MemState m(locs, num_threads, options, Shell{});
+  WireCursor in(words);
+  const std::size_t num_locs = locs.size();
+  const std::uint64_t max_thread = num_threads - 1;
+  constexpr std::uint64_t kU32 = 0xffffffffu;
+  constexpr auto kMaxKind = static_cast<std::uint64_t>(OpKind::QueueEnqueue);
+  const std::uint64_t words_per_op = options.canonical_timestamps ? 3 : 5;
+
+  m.mo_.resize(num_locs);
+  for (LocId loc = 0; loc < num_locs; ++loc) {
+    const std::uint64_t count = in.next("operation count");
+    support::require(count > 0, "wire form: location ", loc,
+                     " has no operations");
+    in.expect(count, words_per_op, "operations");
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const std::uint64_t tag = in.next("operation tag");
+      support::require((tag & 0xffu) <= kMaxKind, "wire form: operation kind ",
+                       tag & 0xffu, " out of range");
+      support::require(((tag >> 8) & kU32) <= max_thread,
+                       "wire form: operation thread ", (tag >> 8) & kU32,
+                       " out of range");
+      support::require((tag >> 42) == 0, "wire form: stray operation tag bits");
+      Op op;
+      op.loc = loc;
+      op.kind = static_cast<OpKind>(tag & 0xffu);
+      op.thread = static_cast<ThreadId>((tag >> 8) & kU32);
+      op.releasing = ((tag >> 40) & 1u) != 0;
+      op.covered = ((tag >> 41) & 1u) != 0;
+      op.value = static_cast<Value>(in.next("operation value"));
+      op.read_value = static_cast<Value>(in.next("operation read value"));
+      if (!options.canonical_timestamps) op.ts = in.rational("timestamp");
+      op.mo_pos = static_cast<std::uint32_t>(i);
+      m.mo_[loc].push_back(static_cast<OpId>(m.ops_.size()));
+      m.ops_.push_back(std::move(op));
+    }
+  }
+  const auto op_at = [&](LocId loc, const char* what) {
+    const auto& order = m.mo_[loc];
+    return order[in.next_at_most(order.size() - 1, what)];
+  };
+  in.expect(num_threads, num_locs, "view entries");
+  m.tview_.assign(num_threads, View(num_locs, kNoOp));
+  for (ThreadId t = 0; t < num_threads; ++t) {
+    for (LocId loc = 0; loc < num_locs; ++loc) {
+      m.tview_[t][loc] = op_at(loc, "thread view rank");
+    }
+  }
+  in.expect(m.ops_.size(), num_locs, "modification views");
+  for (LocId loc = 0; loc < num_locs; ++loc) {
+    for (const OpId id : m.mo_[loc]) {
+      View& mview = m.ops_[id].mview;
+      mview.resize(num_locs);
+      for (LocId l2 = 0; l2 < num_locs; ++l2) {
+        mview[l2] = op_at(l2, "modification view rank");
+      }
+    }
+  }
+  if (options.race_detection) {
+    RaceClocks& rc = m.race_.emplace();
+    in.expect(num_threads, num_threads, "clock entries");
+    rc.vc.resize(static_cast<std::size_t>(num_threads) * num_threads);
+    for (auto& c : rc.vc) {
+      c = static_cast<std::uint32_t>(in.next_at_most(kU32, "clock entry"));
+    }
+    rc.msg.resize(m.ops_.size());
+    for (LocId loc = 0; loc < num_locs; ++loc) {
+      for (const OpId id : m.mo_[loc]) {
+        // Presence mirrors the releasing bit, exactly as encode() assumes.
+        if (!m.ops_[id].releasing) continue;
+        in.expect(1, num_threads, "clock message");
+        rc.msg[id].resize(num_threads);
+        for (auto& c : rc.msg[id]) {
+          c = static_cast<std::uint32_t>(in.next_at_most(kU32, "message entry"));
+        }
+      }
+    }
+    const std::size_t cells = num_locs * num_threads * kNumRaceCats;
+    in.expect(cells, 1, "race summary cells");
+    rc.summary.resize(cells);
+    for (auto& cell : rc.summary) {
+      const std::uint64_t w = in.next("race summary cell");
+      cell.clock = static_cast<std::uint32_t>(w >> 32);
+      cell.pc = static_cast<std::uint32_t>(w & kU32);
+    }
+  }
+  if (options.canonical_timestamps) {
+    for (const auto& order : m.mo_) {
+      for (const OpId id : order) m.ops_[id].ts = in.rational("timestamp");
+    }
+  }
+  support::require(in.left() == 0, "wire form has ", in.left(),
+                   " trailing words");
+  return m;
 }
 
 std::string MemState::to_string() const {

@@ -325,10 +325,36 @@ class MemState {
   void encode_quotient(std::vector<std::uint64_t>& out,
                        const std::uint8_t* tview_keep) const;
 
+  /// Appends the wire trailer that makes encode() invertible: under
+  /// canonical timestamps, every operation's raw rational timestamp
+  /// (numerator, denominator), location by location in modification order.
+  /// With raw timestamps encode() already embeds them and the trailer is
+  /// empty.  The wire form is encode() followed by this trailer.
+  void encode_timestamps(std::vector<std::uint64_t>& out) const;
+
+  /// Rebuilds the state whose wire form (encode() + encode_timestamps()) is
+  /// exactly `words`: its successors, labels, encodings and to_string dump
+  /// match the original's.  Operation ids are reassigned location by location in
+  /// modification order, which nothing outside the arena observes.  Throws
+  /// support::Error on any malformed input — truncation, trailing words, an
+  /// out-of-range rank, kind, thread or clock, a non-reduced or zero-
+  /// denominator timestamp — and never reads out of bounds; whatever it
+  /// accepts re-encodes to exactly `words`.
+  [[nodiscard]] static MemState decode_wire(const LocationTable& locs,
+                                            ThreadId num_threads,
+                                            SemanticsOptions options,
+                                            std::span<const std::uint64_t> words);
+
   /// Human-readable dump for diagnostics and counterexamples.
   [[nodiscard]] std::string to_string() const;
 
  private:
+  /// An empty shell (no operations, views or clocks) for decode_wire to fill.
+  struct Shell {};
+  MemState(const LocationTable& locs, ThreadId num_threads,
+           SemanticsOptions options, Shell)
+      : locs_(&locs), num_threads_(num_threads), options_(options) {}
+
   /// FastTrack-style clock state, engaged iff options().race_detection.
   /// Everything here is derived from the synchronisation structure the views
   /// already maintain: clock rows join exactly where merge_view_into runs for

@@ -4,17 +4,24 @@
 // result, retry exhaustion must degrade to an honest partial report
 // (StopReason::WorkerLost) instead of a wrong verdict or a hang, and the
 // flag combinations the supervisor cannot honour must be rejected loudly.
+// The frame codec underneath is pinned too: its slicing-by-8 CRC against
+// the byte-table one, and in-place payload hand-out over any chunking.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <random>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "engine/budget.hpp"
 #include "engine/checkpoint.hpp"
+#include "engine/wire.hpp"
 #include "explore/explorer.hpp"
 #include "og/proof_outline.hpp"
 #include "parser/parser.hpp"
@@ -393,6 +400,92 @@ TEST(Dist, TruncatedSupervisedRunCheckpointsForSequentialResume) {
   EXPECT_EQ(rest.stop, StopReason::Complete);
   EXPECT_EQ(explore::final_register_values(program.sys, rest, regs),
             explore::final_register_values(program.sys, full, regs));
+}
+
+// --- Frame codec ---------------------------------------------------------------
+
+/// The byte-at-a-time table CRC the slicing-by-8 one must reproduce.
+std::uint32_t crc32_bytewise(std::string_view bytes) {
+  std::uint32_t table[256];
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const char ch : bytes) {
+    c = table[(c ^ static_cast<unsigned char>(ch)) & 0xFFu] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Dist, Crc32MatchesByteTableAndCheckValue) {
+  EXPECT_EQ(engine::wire::crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(engine::wire::crc32(""), 0u);
+  std::mt19937_64 rng(7);
+  std::string bytes;
+  for (std::size_t len = 0; len < 300; ++len) {
+    bytes.push_back(static_cast<char>(rng()));
+    // Every length and every start offset mod 8 goes through both the
+    // sliced body and the byte tail.
+    for (std::size_t off = 0; off < std::min<std::size_t>(len, 9); ++off) {
+      const std::string_view view(bytes.data() + off, len - off);
+      ASSERT_EQ(engine::wire::crc32(view), crc32_bytewise(view))
+          << "len " << len << " offset " << off;
+    }
+  }
+}
+
+/// Copies `n` bytes into the reader the way the pipe loops do.
+void feed(engine::wire::FrameReader& reader, const char* data, std::size_t n) {
+  std::memcpy(reader.prepare(n), data, n);
+  reader.commit(n);
+}
+
+TEST(Dist, FrameReaderHandsOutPayloadsInPlace) {
+  std::vector<std::string> payloads;
+  std::string stream;
+  for (std::size_t i = 0; i < 60; ++i) {
+    payloads.push_back(std::string(i * 37 % 5000, static_cast<char>('a' + i % 26)));
+    stream += engine::wire::encode_frame(payloads.back());
+  }
+  for (const std::size_t chunk : {1u, 7u, 12u, 4096u, 100000u}) {
+    engine::wire::FrameReader reader;
+    std::size_t got = 0;
+    std::string_view payload;
+    std::string error;
+    for (std::size_t off = 0; off < stream.size(); off += chunk) {
+      feed(reader, stream.data() + off, std::min(chunk, stream.size() - off));
+      for (;;) {
+        const auto status = reader.next(payload, error);
+        ASSERT_NE(status, engine::wire::FrameReader::Status::Corrupt) << error;
+        if (status == engine::wire::FrameReader::Status::NeedMore) break;
+        ASSERT_LT(got, payloads.size());
+        EXPECT_EQ(payload, payloads[got]) << "chunk " << chunk;
+        got += 1;
+      }
+    }
+    EXPECT_EQ(got, payloads.size()) << "chunk " << chunk;
+    EXPECT_EQ(reader.buffered(), 0u);
+  }
+  // One flipped payload byte (in the last frame) poisons the stream for good.
+  std::string bad = stream;
+  bad.back() = static_cast<char>(bad.back() ^ 0x5A);
+  engine::wire::FrameReader reader;
+  feed(reader, bad.data(), bad.size());
+  std::string_view payload;
+  std::string error;
+  std::size_t intact = 0;
+  while (reader.next(payload, error) ==
+         engine::wire::FrameReader::Status::Frame) {
+    intact += 1;
+  }
+  EXPECT_EQ(intact, payloads.size() - 1);
+  EXPECT_TRUE(reader.corrupt());
+  EXPECT_NE(error.find("CRC"), std::string::npos);
+  feed(reader, stream.data(), stream.size());
+  EXPECT_EQ(reader.next(payload, error),
+            engine::wire::FrameReader::Status::Corrupt);
 }
 
 }  // namespace

@@ -7,27 +7,37 @@
 // seed-then-reach boundary (initial state and checkpoint seeding against
 // successor lookups).  Also pins down the encode()/encode_into equivalence
 // and the pooled-StepBuffer/vector successor equivalence the hot-path
-// rewiring relies on, including the drivers' hand-back of duplicates.
+// rewiring relies on, including the drivers' hand-back of duplicates, and
+// the invertible wire form the supervised driver ships states in: it
+// round-trips every reachable corpus state under four semantics, and
+// hostile input fails with a diagnostic, never a crash or a false match.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <deque>
+#include <filesystem>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <random>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "engine/checkpoint.hpp"
 #include "engine/sharded_visited.hpp"
+#include "engine/wire.hpp"
 #include "explore/explorer.hpp"
 #include "lang/config.hpp"
 #include "litmus/litmus.hpp"
 #include "parser/parser.hpp"
+#include "support/diagnostics.hpp"
+#include "support/hash.hpp"
 #include "support/intern.hpp"
 
 namespace {
@@ -404,6 +414,238 @@ TEST(StateRepr, SeededStatesReachedAgainMatchOracle) {
       EXPECT_EQ(resumed.stop, engine::StopReason::Complete) << what;
       EXPECT_EQ(resumed.stats.states, expected) << what << " (resumed)";
     }
+  }
+}
+
+
+// --- Wire form (Config::encode_wire / decode_wire) ----------------------------
+
+/// Every tools/programs/*.rc11, in name order.
+std::vector<std::string> corpus_programs() {
+  std::vector<std::string> paths;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(RC11_SRC_DIR) + "/tools/programs")) {
+    if (entry.path().extension() == ".rc11") paths.push_back(entry.path());
+  }
+  std::sort(paths.begin(), paths.end());
+  return paths;
+}
+
+/// The four semantics the wire form must invert: the default, race
+/// detection (clock block), the SC baseline and raw timestamps (no trailer).
+std::vector<std::pair<std::string, memsem::SemanticsOptions>>
+wire_semantics(const memsem::SemanticsOptions& base) {
+  std::vector<std::pair<std::string, memsem::SemanticsOptions>> out;
+  out.emplace_back("default", base);
+  auto race = base;
+  race.race_detection = true;
+  out.emplace_back("race", race);
+  auto sc = base;
+  sc.model = memsem::MemoryModel::SC;
+  out.emplace_back("sc", sc);
+  auto raw = base;
+  raw.canonical_timestamps = false;
+  out.emplace_back("raw-timestamps", raw);
+  return out;
+}
+
+/// Breadth-first walk over at most `cap` distinct states of `sys`, calling
+/// `check` on each.
+void walk_states(const System& sys, std::size_t cap,
+                 const std::function<void(const Config&)>& check) {
+  std::set<std::vector<std::uint64_t>> seen;
+  std::deque<Config> frontier;
+  frontier.push_back(lang::initial_config(sys));
+  while (!frontier.empty() && seen.size() < cap) {
+    Config cfg = std::move(frontier.front());
+    frontier.pop_front();
+    if (!seen.insert(cfg.encode()).second) continue;
+    check(cfg);
+    for (auto& step : lang::successors(sys, cfg)) {
+      frontier.push_back(std::move(step.after));
+    }
+  }
+}
+
+std::vector<std::uint64_t> wire_of(const Config& cfg) {
+  std::vector<std::uint64_t> words;
+  cfg.encode_wire(words);
+  return words;
+}
+
+TEST(StateRepr, WireFormRoundTripsOverCorpus) {
+  std::size_t checked = 0;
+  for (const auto& path : corpus_programs()) {
+    auto program = parser::parse_file(path);
+    for (const auto& [sem_name, sem] :
+         wire_semantics(program.sys.options())) {
+      program.sys.set_options(sem);
+      const System& sys = program.sys;
+      const std::string what = path + " / " + sem_name;
+      const bool raw_timestamps = !sem.canonical_timestamps;
+      walk_states(sys, 400, [&](const Config& cfg) {
+        std::vector<std::uint64_t> words;
+        const std::size_t canonical = cfg.encode_wire(words);
+        const auto enc = cfg.encode();
+        ASSERT_EQ(canonical, enc.size()) << what;
+        ASSERT_TRUE(std::equal(enc.begin(), enc.end(), words.begin()))
+            << what << ": the canonical encoding is not a prefix";
+        if (raw_timestamps) {
+          EXPECT_EQ(words.size(), enc.size()) << what << ": stray trailer";
+        }
+        const Config back = Config::decode_wire(sys, words);
+        ASSERT_EQ(wire_of(back), words) << what;
+        EXPECT_EQ(back.encode(), enc) << what;
+        EXPECT_EQ(back.to_string(sys), cfg.to_string(sys)) << what;
+        const auto want = lang::successors(sys, cfg, /*want_labels=*/true);
+        const auto got = lang::successors(sys, back, /*want_labels=*/true);
+        ASSERT_EQ(got.size(), want.size()) << what;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(got[i].thread, want[i].thread) << what;
+          EXPECT_EQ(got[i].label, want[i].label) << what;
+          EXPECT_EQ(wire_of(got[i].after), wire_of(want[i].after)) << what;
+        }
+        checked += 1;
+      });
+    }
+  }
+  EXPECT_GT(checked, 1000u);
+}
+
+/// Decodes `hex` the way a worker does and reports whether the result
+/// could be mistaken for the state digested as `digest`: a decode error is
+/// a clean rejection, and so is a state whose re-encoded wire form digests
+/// differently.  Anything else escaping (another exception type, a crash
+/// under the sanitizers) fails the test.
+bool passes_digest_check(const System& sys, std::string_view hex,
+                         std::uint64_t digest) {
+  try {
+    std::vector<std::uint64_t> words;
+    engine::wire::words_from_hex(hex, words);
+    const Config cfg = Config::decode_wire(sys, words);
+    const auto again = wire_of(cfg);
+    EXPECT_EQ(again, words) << "decode accepted a form it does not re-encode";
+    return support::hash_words(again) == digest;
+  } catch (const support::Error&) {
+    return false;
+  }
+}
+
+TEST(StateRepr, HostileWireInputFailsCleanly) {
+  for (const char* name : {"mp_stack.rc11", "ticket_lock.rc11", "sb.rc11"}) {
+    auto program = parser::parse_file(prog(name));
+    for (const auto& [sem_name, sem] :
+         wire_semantics(program.sys.options())) {
+      program.sys.set_options(sem);
+      const System& sys = program.sys;
+      const std::string what = std::string(name) + " / " + sem_name;
+      // A deep state: the last one of a short walk.
+      std::optional<Config> deep;
+      walk_states(sys, 60, [&](const Config& cfg) { deep = cfg; });
+      ASSERT_TRUE(deep.has_value());
+      const auto words = wire_of(*deep);
+      const std::string hex = engine::wire::words_hex(words);
+      const std::uint64_t digest = support::hash_words(words);
+      ASSERT_TRUE(passes_digest_check(sys, hex, digest)) << what;
+
+      for (std::size_t len = 0; len < hex.size(); ++len) {
+        EXPECT_FALSE(passes_digest_check(sys, hex.substr(0, len), digest))
+            << what << ": truncated to " << len;
+      }
+      for (const char* tail : {"0", "00", "01", "7f", "80", "8001", "ff01"}) {
+        EXPECT_FALSE(passes_digest_check(sys, hex + tail, digest))
+            << what << ": extended by " << tail;
+      }
+      for (std::size_t i = 0; i < hex.size(); ++i) {
+        for (const char sub : std::string("0123456789abcdefABCDEFx ")) {
+          if (sub == hex[i]) continue;
+          std::string bad = hex;
+          bad[i] = sub;
+          EXPECT_FALSE(passes_digest_check(sys, bad, digest))
+              << what << ": digit " << i << " -> " << sub;
+        }
+      }
+
+      // Planted out-of-range fields, at word offsets read off the layout:
+      // pcs, then each register file (size first), then the memory state
+      // (per location: op count, then per op tag/value/read value and, with
+      // raw timestamps, the timestamp), then the thread-view ranks.
+      const std::size_t nthreads = sys.num_threads();
+      std::size_t mem_at = nthreads;
+      for (lang::ThreadId t = 0; t < nthreads; ++t) {
+        mem_at += 1 + sys.num_regs(t);
+      }
+      const std::size_t per_op = sem.canonical_timestamps ? 3 : 5;
+      std::size_t views_at = mem_at;
+      for (std::size_t loc = 0; loc < sys.locations().size(); ++loc) {
+        views_at += 1 + words[views_at] * per_op;
+      }
+      const std::size_t tag_at = mem_at + 1;
+      const auto planted = [&](std::size_t at, std::uint64_t value,
+                               const char* field) {
+        auto bad = words;
+        bad[at] = value;
+        EXPECT_THROW((void)Config::decode_wire(sys, bad), support::Error)
+            << what << ": " << field;
+      };
+      planted(0, sys.code(0).size() + 1, "pc past the code");
+      planted(nthreads, sys.num_regs(0) + 1, "register count");
+      planted(mem_at, 0, "empty location");
+      planted(mem_at, std::uint64_t{1} << 62, "huge op count");
+      planted(tag_at, (words[tag_at] & ~0xffULL) | 0x09, "op kind");
+      planted(tag_at, (words[tag_at] & ~0xffULL) | 0xff, "op kind");
+      planted(tag_at, (words[tag_at] & 0xffULL) | (nthreads << 8),
+              "thread id");
+      planted(tag_at, words[tag_at] | (1ULL << 42), "stray tag bits");
+      planted(views_at, words[mem_at], "thread view rank");
+      planted(views_at, ~0ULL, "thread view rank");
+      if (sem.canonical_timestamps) {
+        planted(words.size() - 1, 0, "zero denominator");
+        auto unreduced = words;
+        unreduced[words.size() - 2] = 2;
+        unreduced[words.size() - 1] = 2;
+        EXPECT_THROW((void)Config::decode_wire(sys, unreduced), support::Error)
+            << what << ": timestamp not in lowest terms";
+        planted(words.size() - 1, ~0ULL, "negative denominator");
+      } else {
+        planted(tag_at + 4, 0, "zero denominator");
+      }
+      auto shorter = words;
+      shorter.pop_back();
+      EXPECT_THROW((void)Config::decode_wire(sys, shorter), support::Error)
+          << what;
+      auto longer = words;
+      longer.push_back(0);
+      EXPECT_THROW((void)Config::decode_wire(sys, longer), support::Error)
+          << what;
+    }
+  }
+}
+
+TEST(StateRepr, PackedHexIsStrict) {
+  std::vector<std::uint64_t> out;
+  const std::vector<std::uint64_t> words = {0,   1,    127, 128,
+                                            300, ~0ULL, 1ULL << 63};
+  const std::string hex = engine::wire::words_hex(words);
+  EXPECT_EQ(hex.substr(0, 10), "00017f8001");
+  engine::wire::words_from_hex(hex, out);
+  EXPECT_EQ(out, words);
+  // Same bytes as the visited sets' PackedWords serialisation.
+  const PackedWords packed(words);
+  std::string from_packed;
+  for (const std::uint8_t b : packed.bytes()) {
+    constexpr char kDigits[] = "0123456789abcdef";
+    from_packed.push_back(kDigits[b >> 4]);
+    from_packed.push_back(kDigits[b & 0xf]);
+  }
+  EXPECT_EQ(hex, from_packed);
+  engine::wire::words_from_hex("", out);
+  EXPECT_TRUE(out.empty());
+  for (const char* bad : {"0", "0x01", "0A", "80", "8000", "ff",
+                          "ffffffffffffffffff02", "ffffffffffffffffff8001",
+                          "zz"}) {
+    EXPECT_THROW(engine::wire::words_from_hex(bad, out), support::Error)
+        << bad;
   }
 }
 
