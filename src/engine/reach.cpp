@@ -806,17 +806,6 @@ bool expand_steps(const TransitionSystem& ts, const Config& cfg,
 ReachResult visit_reachable(const TransitionSystem& ts,
                             const ReachOptions& options,
                             const StateVisitor& visitor) {
-  // Strategy::Por and the historic `por` flag are one setting: normalise
-  // both ways so callers may set either and stats/report code can key off
-  // whichever it likes.
-  if (options.mode == Strategy::Por || options.por) {
-    ReachOptions normalised = options;
-    normalised.mode = Strategy::Por;
-    normalised.por = true;
-    if (normalised.mode != options.mode || normalised.por != options.por) {
-      return visit_reachable(ts, normalised, visitor);
-    }
-  }
   support::require(
       !(options.symmetry && options.rf_quotient),
       "--symmetry and --rf-quotient cannot be combined (v1): sleep masks "
@@ -830,6 +819,9 @@ ReachResult visit_reachable(const TransitionSystem& ts,
         "observable state (drop --rf-quotient or the SC model)");
   }
   if (options.mode == Strategy::Sample) {
+    support::require(!options.por,
+                     "--por cannot be combined with --strategy sample; pick "
+                     "one coverage strategy");
     support::require(
         !options.symmetry,
         "--symmetry requires exhaustive or POR exploration: the sampling "

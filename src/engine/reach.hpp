@@ -97,15 +97,14 @@ struct ReachOptions {
   /// historic max_states bound lives in budget.max_states; ReachResult::stop
   /// names whichever limit ended the run.
   Budget budget;
-  unsigned num_threads = 1;  ///< same convention as ExploreOptions
+  unsigned num_threads = 1;  ///< same convention as RunOptions
   SearchStrategy strategy = SearchStrategy::Dfs;
-  /// How to cover the state space: exhaustive enumeration (default), ample-
-  /// set POR enumeration, or seeded random sampling (engine/sample.hpp).
-  /// Strategy::Por and `por = true` are the same thing — visit_reachable
-  /// normalises them both ways, so callers may set either.  Under
-  /// Strategy::Sample the driver runs sample_reach: episodes are sequential
-  /// regardless of num_threads (seed determinism), `resume` is rejected, and
-  /// search `strategy` is ignored.
+  /// How to cover the state space: enumeration (default; over the ample-
+  /// reduced relation when `por` is set) or seeded random sampling
+  /// (engine/sample.hpp).  Under Strategy::Sample the driver runs
+  /// sample_reach: episodes are sequential regardless of num_threads (seed
+  /// determinism), `resume`, `por`, `symmetry` and `rf_quotient` are
+  /// rejected, and search `strategy` is ignored.
   Strategy mode = Strategy::Exhaustive;
   /// Tuning for Strategy::Sample (ignored otherwise).
   SampleOptions sample;

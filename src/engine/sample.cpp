@@ -22,51 +22,6 @@
 
 namespace rc11::engine {
 
-const char* to_string(Strategy strategy) noexcept {
-  switch (strategy) {
-    case Strategy::Exhaustive:
-      return "exhaustive";
-    case Strategy::Por:
-      return "por";
-    case Strategy::Sample:
-      return "sample";
-  }
-  return "unknown";
-}
-
-bool parse_strategy(std::string_view text, Strategy& strategy,
-                    std::uint64_t& sample_episodes) {
-  if (text == "exhaustive") {
-    strategy = Strategy::Exhaustive;
-    return true;
-  }
-  if (text == "por") {
-    strategy = Strategy::Por;
-    return true;
-  }
-  if (text == "sample") {
-    strategy = Strategy::Sample;
-    sample_episodes = SampleOptions{}.episodes;
-    return true;
-  }
-  constexpr std::string_view kPrefix = "sample:";
-  if (text.substr(0, kPrefix.size()) == kPrefix) {
-    const std::string_view digits = text.substr(kPrefix.size());
-    if (digits.empty()) return false;
-    std::uint64_t value = 0;
-    for (const char c : digits) {
-      if (c < '0' || c > '9') return false;
-      if (value > (UINT64_MAX - 9) / 10) return false;  // overflow
-      value = value * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    if (value == 0) return false;
-    strategy = Strategy::Sample;
-    sample_episodes = value;
-    return true;
-  }
-  return false;
-}
-
 namespace {
 
 /// splitmix64 — hand-rolled so the draw sequence is identical on every

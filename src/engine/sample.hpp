@@ -47,23 +47,17 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <string_view>
 
 namespace rc11::engine {
 
-/// How the reachability driver covers the state space.  Exhaustive and Por
-/// enumerate every reachable state (Por over the ample-reduced relation);
-/// Sample draws random schedules instead and covers a subset.
+/// How the reachability driver covers the state space: Exhaustive
+/// enumerates every reachable state (over the ample-reduced relation when
+/// ReachOptions::por is set); Sample draws random schedules instead and
+/// covers a subset.
 enum class Strategy : std::uint8_t {
   Exhaustive,  ///< full enumeration (the historic default)
-  Por,         ///< full enumeration over the ample-set reduced relation
   Sample,      ///< seeded weighted random schedules (episodes)
 };
-
-/// Stable lower-case names ("exhaustive", "por", "sample") for reports and
-/// JSON summaries.
-[[nodiscard]] const char* to_string(Strategy strategy) noexcept;
 
 /// Tuning knobs for Strategy::Sample.
 struct SampleOptions {
@@ -90,12 +84,5 @@ struct SampleOptions {
 /// corpus (complete schedules there run tens to hundreds of steps) while
 /// still bounding a pathological all-spin schedule.
 inline constexpr std::uint64_t kDefaultEpisodeStepCap = 20'000;
-
-/// Parses a --strategy value: "exhaustive", "por", "sample" or "sample:N"
-/// (N = episode count, whole positive number).  Returns false on anything
-/// else; `strategy`/`sample_episodes` are only written on success
-/// (`sample_episodes` only by the sample:N form).
-[[nodiscard]] bool parse_strategy(std::string_view text, Strategy& strategy,
-                                  std::uint64_t& sample_episodes);
 
 }  // namespace rc11::engine

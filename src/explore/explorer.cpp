@@ -5,20 +5,13 @@
 #include <optional>
 #include <utility>
 
-#include "engine/checkpoint.hpp"
 #include "engine/symmetry.hpp"
 #include "engine/wire.hpp"
 #include "support/diagnostics.hpp"
-#include "support/hash.hpp"
 
 namespace rc11::explore {
 
 namespace {
-
-// Successor generation and the sequential/parallel reachability drivers live
-// in the engine layer (engine/reach.cpp, engine/transition_system.cpp); this
-// translation unit only layers invariant checking, final-config collection
-// and witness construction on top of engine::visit_reachable.
 
 /// A final configuration together with its canonical encoding.  The
 /// encoding is computed exactly once — when the config passes final
@@ -50,6 +43,16 @@ void sort_violations(std::vector<Violation>& violations) {
             });
 }
 
+/// A violation at the state interned as `id`, with the run the sink
+/// recorded to it when the run records traces.
+Violation make_violation(const engine::CheckerRun& run, std::uint64_t id,
+                         std::string what, std::string state_dump) {
+  auto recorded = run.recorded_run(id, "invariant", "explore", what,
+                                  state_dump);
+  return {std::move(what), std::move(state_dump), std::move(recorded.trace),
+          std::move(recorded.witness)};
+}
+
 /// The explorer's two halves of a supervised run (engine/supervise.hpp):
 /// evaluate() reproduces the visitor's per-state logic in the worker process
 /// as serialisable events; absorb() rebuilds violations (with traces and
@@ -59,13 +62,8 @@ void sort_violations(std::vector<Violation>& violations) {
 class ExploreDelegate final : public engine::DistDelegate {
  public:
   ExploreDelegate(const System& sys, const ExploreOptions& options,
-                  const Invariant& invariant)
-      : sys_(sys),
-        options_(options),
-        invariant_(invariant),
-        init_digest_(options.track_traces
-                         ? witness::config_digest(lang::initial_config(sys))
-                         : 0) {}
+                  const Invariant& invariant, const engine::CheckerRun& run)
+      : sys_(sys), options_(options), invariant_(invariant), run_(run) {}
 
   bool evaluate(const Config& cfg, std::span<const Step> steps,
                 std::vector<witness::Json>& events) override {
@@ -95,30 +93,9 @@ class ExploreDelegate final : public engine::DistDelegate {
               const ShardedVisitedSet& sink) override {
     const std::string& kind = event.at("kind").as_string();
     if (kind == "violation") {
-      Violation v;
-      v.what = event.at("what").as_string();
-      v.state_dump = event.at("dump").as_string();
-      if (options_.track_traces) {
-        const auto edges = sink.path_to(id);
-        v.trace.reserve(edges.size() + 1);
-        v.trace.emplace_back("init");
-        witness::Witness w;
-        w.kind = "invariant";
-        w.source = "explore";
-        w.what = v.what;
-        w.state_dump = v.state_dump;
-        w.initial_digest = init_digest_;
-        w.steps.reserve(edges.size());
-        std::vector<std::uint64_t> enc;
-        for (const auto& e : edges) {
-          v.trace.push_back(e.label);
-          enc.clear();
-          sink.decode_state(e.state, enc);
-          w.steps.push_back({e.thread, e.label, support::hash_words(enc)});
-        }
-        v.witness = std::move(w);
-      }
-      violations.push_back(std::move(v));
+      violations.push_back(make_violation(run_, id,
+                                          event.at("what").as_string(),
+                                          event.at("dump").as_string()));
       return !options_.stop_on_violation;
     }
     if (kind == "final" && options_.collect_finals) {
@@ -145,89 +122,21 @@ class ExploreDelegate final : public engine::DistDelegate {
   const System& sys_;
   const ExploreOptions& options_;
   const Invariant& invariant_;
-  const std::uint64_t init_digest_;
+  const engine::CheckerRun& run_;
   ShardedVisitedSet final_dedup_;
 };
-
-/// The --workers path: same verdict logic as the in-process explorer, run
-/// through the supervised multi-process driver.
-ExploreResult explore_dist(const System& sys, const ExploreOptions& options,
-                           const Invariant& invariant) {
-  support::require(!options.symmetry,
-                   "--workers cannot be combined with --symmetry");
-  support::require(options.mode != Strategy::Sample,
-                   "--workers cannot be combined with --strategy sample");
-  support::require(options.num_threads <= 1,
-                   "--workers runs worker processes; combine with --threads 1");
-  support::require(options.resume == nullptr,
-                   "--workers cannot resume a checkpoint; resume runs "
-                   "single-process (the checkpoint it writes is compatible)");
-
-  engine::SystemTransitions ts(sys);
-  engine::ShardedVisitedSet sink;
-  ExploreDelegate delegate(sys, options, invariant);
-
-  engine::DistOptions dopts;
-  dopts.workers = options.workers;
-  dopts.budget.max_states = options.max_states;
-  dopts.budget.max_visited_bytes = options.max_visited_bytes;
-  dopts.budget.deadline_ms = options.deadline_ms;
-  dopts.por = options.por || options.mode == Strategy::Por;
-  dopts.fuse_local_steps = options.fuse_local_steps;
-  dopts.rf_quotient = options.rf_quotient;
-  dopts.rf_pins = options.rf_pins;
-  dopts.cancel = options.cancel;
-  dopts.fault = options.fault;
-
-  const auto dres = engine::supervise_reach(ts, dopts, delegate, sink);
-
-  ExploreResult result;
-  result.stats = dres.stats;
-  result.stop = dres.stop;
-  result.truncated = dres.truncated();
-  result.dist = dres.telemetry;
-  if (!options.checkpoint_path.empty() && dres.truncated()) {
-    engine::save_checkpoint(
-        engine::make_checkpoint(sink, dres.stats, dres.stop,
-                                dopts.por, /*symmetry=*/false,
-                                options.rf_quotient),
-        options.checkpoint_path);
-  }
-  result.final_configs = sort_keyed_configs(delegate.finals);
-  result.violations = std::move(delegate.violations);
-  sort_violations(result.violations);
-  return result;
-}
 
 }  // namespace
 
 ExploreResult explore(const System& sys, const ExploreOptions& options,
                       const Invariant& invariant) {
-  // One implementation for every thread count and trace mode, layered on
-  // the generic reachability driver: final-config collection, invariant
-  // evaluation, and — when track_traces — witness construction from the
-  // trace sink's parent links.  The mutexes are uncontended in sequential
-  // runs and cold in parallel ones (finals and violations are rare events
-  // next to state expansion).
-  if (options.workers > 0) return explore_dist(sys, options, invariant);
-  ExploreResult result;
-  // A sampling run has no frontier to checkpoint or resume; reject here so
-  // the caller hears about it before any exploration work happens (the
-  // engine layer guards resume again for direct callers).
-  if (options.mode == Strategy::Sample) {
-    support::require(options.checkpoint_path.empty(),
-                     "--checkpoint is not supported under --strategy sample: "
-                     "a sampling run has no frontier to save");
-    support::require(options.resume == nullptr,
-                     "--resume is not supported under --strategy sample: a "
-                     "sampling run has no frontier to continue from");
-  }
-  std::optional<ShardedVisitedSet> trace_store;
-  // Checkpoints are built from the trace sink, so requesting one implies
-  // trace recording.
-  if (options.track_traces || !options.checkpoint_path.empty()) {
-    trace_store.emplace();
-  }
+  // Final-config collection, invariant evaluation and — when the run
+  // records traces — witness construction from the trace sink's parent
+  // links, for every thread count; the harness (engine/run.hpp) owns
+  // everything around the driver.  The mutexes are uncontended in
+  // sequential runs and cold in parallel ones (finals and violations are
+  // rare events next to state expansion).
+  engine::CheckerRun run(sys, options);
 
   // Under the symmetry quotient the driver hands the visitor one orbit
   // representative per equivalence class; exactness of finals and invariant
@@ -239,133 +148,89 @@ ExploreResult explore(const System& sys, const ExploreOptions& options,
   if (options.symmetry) reducer.emplace(sys);
   const bool orbit = reducer.has_value() && reducer->symmetric();
 
-  ReachOptions ropts;
-  ropts.budget.max_states = options.max_states;
-  ropts.budget.max_visited_bytes = options.max_visited_bytes;
-  ropts.budget.deadline_ms = options.deadline_ms;
-  ropts.num_threads = options.num_threads;
-  ropts.strategy = options.strategy;
-  ropts.fuse_local_steps = options.fuse_local_steps;
-  ropts.por = options.por;
-  ropts.symmetry = options.symmetry;
-  ropts.rf_quotient = options.rf_quotient;
-  ropts.rf_pins = options.rf_pins;
-  // Both quotients pay the masked visited set already; sleep-set pruning
-  // rides along for free on that path.
-  ropts.sleep_sets = options.symmetry || options.rf_quotient;
-  ropts.mode = options.mode;
-  ropts.sample = options.sample;
-  ropts.trace = trace_store ? &*trace_store : nullptr;
-  ropts.cancel = options.cancel;
-  ropts.fault = options.fault;
-  ropts.resume = options.resume;
-
-  const std::uint64_t init_digest =
-      options.track_traces ? witness::config_digest(lang::initial_config(sys))
-                           : 0;
-
   ShardedVisitedSet final_dedup;
   std::mutex finals_mu;
   std::vector<KeyedConfig> finals;
   std::mutex violations_mu;
   std::vector<Violation> violations;
 
-  const auto reach = visit_reachable(
-      sys, ropts,
-      [&](const Config& cfg, std::uint64_t id,
-          std::span<const Step> steps) -> bool {
-        bool keep_going = true;
-        if (invariant) {
-          const auto check_member = [&](const Config& member, bool is_rep) {
-            auto what = invariant(sys, member);
-            if (!what) return;
-            Violation v;
-            v.what = std::move(*what);
-            v.state_dump = member.to_string(sys);
-            if (trace_store) {
-              // path_to is safe against concurrent inserts, so a violating
-              // state is reconstructed right here, mid-run.  Under the
-              // quotient the recorded path leads to the orbit
-              // *representative*; for a violation at a permuted member the
-              // trace is still a real execution (witness digests replay to
-              // the representative) and the permutation is flagged below.
-              const auto edges = trace_store->path_to(id);
-              v.trace.reserve(edges.size() + 2);
-              v.trace.emplace_back("init");
-              witness::Witness w;
-              w.kind = "invariant";
-              w.source = "explore";
-              w.what = v.what;
-              w.state_dump = v.state_dump;
-              w.initial_digest = init_digest;
-              w.steps.reserve(edges.size());
-              std::vector<std::uint64_t> enc;
-              for (const auto& e : edges) {
-                v.trace.push_back(e.label);
-                enc.clear();
-                trace_store->decode_state(e.state, enc);
-                w.steps.push_back({e.thread, e.label, support::hash_words(enc)});
-              }
-              if (!is_rep) {
-                v.trace.emplace_back(
-                    "(violating state is a thread permutation of the state "
-                    "this trace reaches)");
-              }
-              v.witness = std::move(w);
-            }
-            std::lock_guard<std::mutex> lock(violations_mu);
-            violations.push_back(std::move(v));
-            if (options.stop_on_violation) keep_going = false;
-          };
-          if (orbit) {
-            bool is_rep = true;
-            reducer->for_each_orbit(
-                cfg, [&](const Config& member, const engine::ThreadPerm&) {
-                  check_member(member, is_rep);
-                  is_rep = false;
-                });
-          } else {
-            check_member(cfg, /*is_rep=*/true);
-          }
+  const StateVisitor visitor = [&](const Config& cfg, std::uint64_t id,
+                                   std::span<const Step> steps) -> bool {
+    bool keep_going = true;
+    if (invariant) {
+      const auto check_member = [&](const Config& member, bool is_rep) {
+        auto what = invariant(sys, member);
+        if (!what) return;
+        // Under the quotient the recorded path leads to the orbit
+        // *representative*; for a violation at a permuted member the trace
+        // is still a real execution (witness digests replay to the
+        // representative) and the permutation is flagged.
+        Violation v =
+            make_violation(run, id, std::move(*what), member.to_string(sys));
+        if (!is_rep && !v.trace.empty()) {
+          v.trace.emplace_back(
+              "(violating state is a thread permutation of the state "
+              "this trace reaches)");
         }
-        if (options.collect_finals && steps.empty() && cfg.all_done(sys)) {
-          const auto collect = [&](const Config& done) {
-            // Encode once; the encoding doubles as the dedup key here and
-            // the canonical sort key below.
-            std::vector<std::uint64_t> enc;
-            enc.reserve(64);
-            done.encode_into(enc);
-            if (final_dedup.insert(enc)) {
-              std::lock_guard<std::mutex> lock(finals_mu);
-              finals.emplace_back(std::move(enc), done);
-            }
-          };
-          // all_done is permutation-invariant, so orbit-closing the finals
-          // here restores the exact final set of an unreduced run.
-          if (orbit) {
-            reducer->for_each_orbit(
-                cfg, [&](const Config& member, const engine::ThreadPerm&) {
-                  collect(member);
-                });
-          } else {
-            collect(cfg);
-          }
+        std::lock_guard<std::mutex> lock(violations_mu);
+        violations.push_back(std::move(v));
+        if (options.stop_on_violation) keep_going = false;
+      };
+      if (orbit) {
+        bool is_rep = true;
+        reducer->for_each_orbit(
+            cfg, [&](const Config& member, const engine::ThreadPerm&) {
+              check_member(member, is_rep);
+              is_rep = false;
+            });
+      } else {
+        check_member(cfg, /*is_rep=*/true);
+      }
+    }
+    if (options.collect_finals && steps.empty() && cfg.all_done(sys)) {
+      const auto collect = [&](const Config& done) {
+        // Encode once; the encoding doubles as the dedup key here and the
+        // canonical sort key below.
+        std::vector<std::uint64_t> enc;
+        enc.reserve(64);
+        done.encode_into(enc);
+        if (final_dedup.insert(enc)) {
+          std::lock_guard<std::mutex> lock(finals_mu);
+          finals.emplace_back(std::move(enc), done);
         }
-        return keep_going;
-      });
+      };
+      // all_done is permutation-invariant, so orbit-closing the finals here
+      // restores the exact final set of an unreduced run.
+      if (orbit) {
+        reducer->for_each_orbit(
+            cfg, [&](const Config& member, const engine::ThreadPerm&) {
+              collect(member);
+            });
+      } else {
+        collect(cfg);
+      }
+    }
+    return keep_going;
+  };
+  ExploreDelegate delegate(sys, options, invariant, run);
 
+  const auto reach =
+      run.run(visitor, delegate,
+              {.rf_pins = options.rf_pins,
+               .strategy = options.strategy,
+               .fuse_local_steps = options.fuse_local_steps});
+
+  ExploreResult result;
   result.stats = reach.stats;
   result.stop = reach.stop;
   result.truncated = reach.truncated();
-  if (!options.checkpoint_path.empty() && reach.truncated()) {
-    engine::save_checkpoint(
-        engine::make_checkpoint(*trace_store, reach.stats, reach.stop,
-                                options.por, options.symmetry,
-                                options.rf_quotient),
-        options.checkpoint_path);
-  }
-  result.final_configs = sort_keyed_configs(finals);
-  result.violations = std::move(violations);
+  result.dist = reach.telemetry;
+  // Exactly one of the two halves ran.
+  const bool supervised = options.workers > 0;
+  result.final_configs =
+      sort_keyed_configs(supervised ? delegate.finals : finals);
+  result.violations =
+      std::move(supervised ? delegate.violations : violations);
   sort_violations(result.violations);
   return result;
 }

@@ -7,11 +7,13 @@
 // configuration of the operational semantics.
 //
 // The enumeration itself lives in the shared engine layer — see
-// engine/reach.hpp (generic reachability driver, sequential and parallel)
-// and engine/transition_system.hpp (successor generation + independence
-// metadata + ample-set POR).  This header re-exports the driver types under
-// their historic explore:: names and adds the explorer proper: invariant
-// evaluation, final-configuration collection and witness construction.
+// engine/reach.hpp (generic reachability driver, sequential and parallel),
+// engine/transition_system.hpp (successor generation + independence
+// metadata + ample-set POR) and engine/run.hpp (the run settings every
+// checker shares, engine::RunOptions, and the harness that validates them,
+// dispatches and checkpoints).  This header re-exports the driver types
+// under their historic explore:: names and adds the explorer proper:
+// invariant evaluation, final-configuration collection and witnesses.
 
 #pragma once
 
@@ -23,6 +25,7 @@
 #include <vector>
 
 #include "engine/reach.hpp"
+#include "engine/run.hpp"
 #include "engine/supervise.hpp"
 #include "lang/config.hpp"
 #include "witness/witness.hpp"
@@ -47,126 +50,32 @@ using engine::StateVisitor;
 using engine::Strategy;
 using engine::visit_reachable;
 
-struct ExploreOptions {
-  /// Hard cap on distinct states; exploration reports truncation beyond it.
-  std::uint64_t max_states = 1'000'000;
+/// The explorer's options: the shared run settings (engine::RunOptions —
+/// budgets, threads, reductions, coverage strategy, traces, checkpoints,
+/// worker processes) plus its own search order, local-step fusion and
+/// verdict knobs.  Under `symmetry` the
+/// explorer orbit-closes final configurations and evaluates the invariant
+/// at every orbit member of each visited representative; under
+/// `rf_quotient` final_configs holds one representative per merged class,
+/// so callers comparing runs compare outcomes, not raw final encodings.
+struct ExploreOptions : engine::RunOptions {
   SearchStrategy strategy = SearchStrategy::Dfs;
-  /// Worker threads expanding configurations: 1 (the default) runs the exact
-  /// sequential search — required for BFS shortest-trace guarantees and kept
-  /// as the default for Owicki–Gries outline checking; 0 resolves to
-  /// std::thread::hardware_concurrency(); N > 1 runs a shared-frontier pool
-  /// over a lock-striped visited set (engine/sharded_visited.hpp).  For
-  /// every thread count the *set* of visited states, final configurations,
-  /// outcomes and the presence of violations are identical (final configs
-  /// and violations are sorted canonically before returning); only per-run
-  /// orderings — which violation is reported first under stop_on_violation,
-  /// which states fall inside a max_states truncation — may differ.  The
-  /// invariant callback must be thread-safe when more than one worker
-  /// resolves.  track_traces composes with every thread count: parent links
-  /// are recorded per interned state under the visited-set shard lock, so a
-  /// parallel run's trace may differ from a sequential run's but is always a
-  /// real execution (and always replays — see witness::replay).
-  unsigned num_threads = 1;
   /// Sound reduction for outcome-set exploration: when some thread's next
   /// instruction is *local* (Assign / Branch / Jump — deterministic, no
   /// memory effect), expand only that thread.  Local steps commute with all
   /// other transitions and can never be disabled, so reachable final states
-  /// and memory behaviours are preserved while intermediate interleavings of
-  /// program counters are pruned.  Leave off when checking proof outlines
-  /// (annotations quantify over the *full* interleaving set).
+  /// are preserved while intermediate interleavings are pruned; subsumed by
+  /// `por`.
   bool fuse_local_steps = false;
-  /// Ample-set partial-order reduction in the shared driver (subsumes
-  /// fuse_local_steps; adds the cycle proviso and private relaxed accesses —
-  /// see engine/transition_system.hpp).  Sound for final-register values,
-  /// reachable outcomes, deadlocks and the final/blocked state sets; the
-  /// reduced graph is identical for every num_threads, and witnesses from
-  /// reduced runs replay through the full semantics.  Per-state invariants
-  /// are evaluated on the reduced state set: violations found are real, and
-  /// violations occurring at final/blocked states are never missed, but a
-  /// violation confined to a pruned intermediate interleaving may be (the
-  /// RC11_POR_CROSSCHECK test suite checks exact agreement on the corpus —
-  /// see docs/SEMANTICS.md §9).  Default off.
-  bool por = false;
-  /// Thread-symmetry reduction (engine/symmetry.hpp): quotient the visited
-  /// set by thread permutations of provably interchangeable threads
-  /// (identical program text modulo thread id) and layer sleep-set
-  /// transition pruning on top.  Exact for verdicts, outcomes, finals and
-  /// invariant violations: the explorer orbit-closes final configurations
-  /// and evaluates the invariant at every orbit member of each visited
-  /// representative, so nothing a full run reports is missed — violation
-  /// *traces* lead to the visited representative (a real execution; a
-  /// violation at a permuted configuration is flagged in the trace).  A
-  /// sound no-op on programs with no interchangeable threads.  Composes
-  /// with por, budgets, track_traces and checkpoint/resume (the checkpoint
-  /// records the setting; resume rejects a mismatch).  Rejected under
-  /// Strategy::Sample.
-  bool symmetry = false;
-  /// Execution-graph quotient (engine/abstraction.hpp): deduplicate states
-  /// by [pcs, registers, rf/mo projection] instead of the concrete encoding,
-  /// folding interleavings that built the same execution graph.  Exact for
-  /// verdicts, outcome sets (final register values) and race sets; the
-  /// *concrete* final_configs list holds one class representative per merged
-  /// class, so callers comparing runs must compare outcomes, not raw final
-  /// encodings.  Invariants are evaluated on class representatives: pass
-  /// the invariant's view footprint in rf_pins so the predicate is a
-  /// function of the quotient key (assertions::Assertion::footprint()), and
-  /// reject footprint-less predicates before setting this.  Composes with
-  /// por, budgets, track_traces and checkpoint/resume (setting pinned in
-  /// the checkpoint); rejected with --symmetry (v1), under Strategy::Sample
-  /// and under the SC memory model.
-  bool rf_quotient = false;
-  /// Viewfront entries to pin into the rf-quotient key (see above); ignored
-  /// unless rf_quotient.
+  /// Viewfront entries to pin into the rf-quotient key: the invariant's
+  /// view footprint (assertions::Assertion::footprint()), so its verdict is
+  /// a function of the key.  Reject footprint-less invariants before
+  /// setting rf_quotient.  Ignored unless rf_quotient.
   engine::RfPins rf_pins;
-  /// Coverage mode (engine/sample.hpp): Exhaustive (default), Por — same
-  /// setting as `por` above, either spelling works — or Sample, which runs
-  /// `sample.episodes` seeded random schedules instead of enumerating and
-  /// reports StopReason::EpisodeCap unless something stopped it earlier.
-  /// Under Sample: checkpoint_path/resume are rejected loudly, violations
-  /// and finals are the ones the episodes covered (a lower bound), and the
-  /// exhaustive modes stay the oracle on small instances.
-  Strategy mode = Strategy::Exhaustive;
-  /// Tuning for mode == Strategy::Sample (episodes, seed, guided bias,
-  /// episode step cap); ignored otherwise.
-  SampleOptions sample;
   /// Stop at the first invariant violation (otherwise keep counting).
   bool stop_on_violation = true;
-  /// Record parent links and step labels so violations come with a full
-  /// counterexample trace and a structured replayable witness (costs memory;
-  /// default off for benchmarks).  Works for any num_threads.
-  bool track_traces = false;
   /// Keep a copy of every final configuration (needed for outcome sets).
   bool collect_finals = true;
-  /// Memory budget for the visited set in bytes (0 = unlimited); exceeding
-  /// it stops the run with StopReason::MemCap and valid partial results.
-  std::uint64_t max_visited_bytes = 0;
-  /// Wall-clock deadline in milliseconds (0 = none); expiry stops the run
-  /// with StopReason::Deadline.
-  std::uint64_t deadline_ms = 0;
-  /// Cooperative cancellation token (see engine::CancelToken); polled once
-  /// per claimed state.  Must outlive the call; null disables the check.
-  const engine::CancelToken* cancel = nullptr;
-  /// Deterministic fault injection (robustness tests; see engine::FaultPlan).
-  engine::FaultPlan fault;
-  /// Resume from a checkpoint of an earlier stopped run (must outlive the
-  /// call; `por` must match the checkpoint's).  Verdicts, states,
-  /// transitions, finals and blocked counts equal an uninterrupted run's.
-  const engine::Checkpoint* resume = nullptr;
-  /// When non-empty and the run stops early (any StopReason other than
-  /// Complete), write a checkpoint file here.  Implies trace recording (the
-  /// checkpoint is built from the trace sink), so violations carry witnesses
-  /// as under track_traces.
-  std::string checkpoint_path;
-  /// Supervised multi-process exploration (engine/supervise.hpp): fork this
-  /// many worker processes, partition the frontier by state hash and merge
-  /// results deterministically — verdicts, stats, finals and violations are
-  /// byte-identical for every worker count, and a crashed/hung worker is
-  /// restarted with only its unacknowledged batch replayed.  0 (default)
-  /// stays in-process.  Rejected with symmetry, Strategy::Sample,
-  /// num_threads > 1 and resume; composes with por, rf_quotient, budgets,
-  /// cancellation and checkpoint_path (the sink is checkpointed on
-  /// truncation, resumable by single-process runs).
-  unsigned workers = 0;
 };
 
 /// An invariant violation with an optional counterexample trace.
@@ -174,7 +83,8 @@ struct Violation {
   std::string what;              ///< description from the invariant callback
   std::string state_dump;        ///< pretty-printed violating configuration
   std::vector<std::string> trace;  ///< step labels from the initial state
-  /// Structured, replayable counterexample (present iff track_traces):
+  /// Structured, replayable counterexample (present iff the run records
+  /// traces — track_traces or checkpoint_path):
   /// serialise with witness::to_json, validate with witness::replay.
   std::optional<witness::Witness> witness;
 };
@@ -203,7 +113,7 @@ struct ExploreResult {
 
 /// Invariant callback: return a description to report a violation at this
 /// reachable configuration, or std::nullopt if the configuration is fine.
-/// Must be thread-safe when ExploreOptions::num_threads resolves to > 1.
+/// Must be thread-safe when RunOptions::num_threads resolves to > 1.
 using Invariant =
     std::function<std::optional<std::string>(const System&, const Config&)>;
 

@@ -5,10 +5,8 @@
 #include <optional>
 #include <span>
 
-#include "engine/checkpoint.hpp"
 #include "engine/symmetry.hpp"
 #include "support/diagnostics.hpp"
-#include "support/hash.hpp"
 
 namespace rc11::og {
 
@@ -126,6 +124,16 @@ void collect_rf_pins(const System& sys, const ProofOutline& outline,
   }
 }
 
+/// One failed obligation at the state interned as `id`, with the run the
+/// sink recorded to it when the run records traces.
+ObligationFailure make_failure(const engine::CheckerRun& run, std::uint64_t id,
+                               std::string obligation, std::string state_dump) {
+  auto recorded = run.recorded_run(id, "outline", "og::check_outline",
+                                  obligation, state_dump);
+  return {std::move(obligation), std::move(state_dump),
+          std::move(recorded.trace), std::move(recorded.witness)};
+}
+
 /// The outline checker's two supervised halves: evaluate() runs the full
 /// obligation set in the worker and ships failures (plus the obligation
 /// count) as events; absorb() rebuilds ObligationFailures with traces and
@@ -133,13 +141,9 @@ void collect_rf_pins(const System& sys, const ProofOutline& outline,
 class OutlineDelegate final : public engine::DistDelegate {
  public:
   OutlineDelegate(const System& sys, const ProofOutline& outline,
-                  const OutlineCheckOptions& options)
-      : sys_(sys),
-        outline_(outline),
-        options_(options),
-        init_digest_(options.track_traces
-                         ? witness::config_digest(lang::initial_config(sys))
-                         : 0) {}
+                  const OutlineCheckOptions& options,
+                  const engine::CheckerRun& run)
+      : sys_(sys), outline_(outline), options_(options), run_(run) {}
 
   bool evaluate(const Config& cfg, std::span<const Step> steps,
                 std::vector<witness::Json>& events) override {
@@ -165,7 +169,7 @@ class OutlineDelegate final : public engine::DistDelegate {
   }
 
   bool absorb(const witness::Json& event, std::uint64_t id,
-              const explore::ShardedVisitedSet& sink) override {
+              const explore::ShardedVisitedSet& /*sink*/) override {
     const std::string& kind = event.at("kind").as_string();
     if (kind == "obls") {
       obligations += static_cast<std::uint64_t>(event.at("n").as_int());
@@ -173,30 +177,9 @@ class OutlineDelegate final : public engine::DistDelegate {
     }
     if (kind != "fail") return true;
     valid = false;
-    ObligationFailure failure;
-    failure.obligation = event.at("obligation").as_string();
-    failure.state_dump = event.at("dump").as_string();
-    if (options_.track_traces) {
-      const auto edges = sink.path_to(id);
-      failure.trace.reserve(edges.size() + 1);
-      failure.trace.emplace_back("init");
-      witness::Witness w;
-      w.kind = "outline";
-      w.source = "og::check_outline";
-      w.what = failure.obligation;
-      w.state_dump = failure.state_dump;
-      w.initial_digest = init_digest_;
-      w.steps.reserve(edges.size());
-      std::vector<std::uint64_t> enc;
-      for (const auto& e : edges) {
-        failure.trace.push_back(e.label);
-        enc.clear();
-        sink.decode_state(e.state, enc);
-        w.steps.push_back({e.thread, e.label, support::hash_words(enc)});
-      }
-      failure.witness = std::move(w);
-    }
-    failures.push_back(std::move(failure));
+    failures.push_back(make_failure(run_, id,
+                                    event.at("obligation").as_string(),
+                                    event.at("dump").as_string()));
     return !options_.stop_at_first_failure;
   }
 
@@ -208,82 +191,23 @@ class OutlineDelegate final : public engine::DistDelegate {
   const System& sys_;
   const ProofOutline& outline_;
   const OutlineCheckOptions& options_;
-  const std::uint64_t init_digest_;
+  const engine::CheckerRun& run_;
 };
-
-/// The --workers path of check_outline: identical obligation logic, run
-/// through the supervised multi-process driver.
-OutlineCheckResult check_outline_dist(const System& sys,
-                                      const ProofOutline& outline,
-                                      const OutlineCheckOptions& options) {
-  support::require(!options.symmetry,
-                   "--workers cannot be combined with --symmetry");
-  support::require(options.mode != engine::Strategy::Sample,
-                   "--workers cannot be combined with --strategy sample");
-  support::require(options.num_threads <= 1,
-                   "--workers runs worker processes; combine with --threads 1");
-  support::require(options.resume == nullptr,
-                   "--workers cannot resume a checkpoint; resume runs "
-                   "single-process (the checkpoint it writes is compatible)");
-
-  engine::SystemTransitions ts(sys);
-  engine::ShardedVisitedSet sink;
-  OutlineDelegate delegate(sys, outline, options);
-
-  engine::DistOptions dopts;
-  dopts.workers = options.workers;
-  dopts.budget.max_states = options.max_states;
-  dopts.budget.max_visited_bytes = options.max_visited_bytes;
-  dopts.budget.deadline_ms = options.deadline_ms;
-  dopts.por = options.por;
-  dopts.rf_quotient = options.rf_quotient;
-  if (options.rf_quotient) collect_rf_pins(sys, outline, dopts.rf_pins);
-  dopts.cancel = options.cancel;
-  dopts.fault = options.fault;
-
-  const auto dres = engine::supervise_reach(ts, dopts, delegate, sink);
-
-  OutlineCheckResult result;
-  result.valid = delegate.valid;
-  result.failures = std::move(delegate.failures);
-  result.stats = dres.stats;
-  result.stop = dres.stop;
-  result.obligations_checked = delegate.obligations;
-  result.dist = dres.telemetry;
-  if (!options.checkpoint_path.empty() && dres.truncated()) {
-    engine::save_checkpoint(
-        engine::make_checkpoint(sink, dres.stats, dres.stop, options.por,
-                                /*symmetry=*/false, options.rf_quotient),
-        options.checkpoint_path);
-  }
-  return result;
-}
 
 }  // namespace
 
 OutlineCheckResult check_outline(const System& sys, const ProofOutline& outline,
                                  OutlineCheckOptions options) {
-  if (options.workers > 0) return check_outline_dist(sys, outline, options);
-  // One implementation for every thread count, on the shared reachability
-  // driver.  With track_traces the driver records parent links in the trace
-  // sink, so failures carry traces and replayable witnesses even from a
-  // worker pool; the verdict and the set of failed obligations are
-  // thread-count-independent (failures arrive unordered when parallel).
+  // One implementation for every thread count, on the shared run harness
+  // (engine/run.hpp).  When the run records traces, failures carry traces
+  // and replayable witnesses even from a worker pool; the verdict and the
+  // set of failed obligations are thread-count-independent (failures arrive
+  // unordered when parallel).
+  engine::CheckerRun run(sys, options);
+  engine::RfPins pins;
+  if (options.rf_quotient) collect_rf_pins(sys, outline, pins);
+
   OutlineCheckResult result;
-  if (options.mode == engine::Strategy::Sample) {
-    support::require(options.checkpoint_path.empty(),
-                     "--checkpoint is not supported under --strategy sample: "
-                     "a sampling run has no frontier to save");
-    support::require(options.resume == nullptr,
-                     "--resume is not supported under --strategy sample: a "
-                     "sampling run has no frontier to continue from");
-  }
-  std::optional<explore::ShardedVisitedSet> trace_store;
-  // Checkpoints are built from the trace sink, so requesting one implies
-  // trace recording.
-  if (options.track_traces || !options.checkpoint_path.empty()) {
-    trace_store.emplace();
-  }
   std::atomic<std::uint64_t> obligations{0};
   std::atomic<bool> valid{true};
   std::mutex failures_mu;
@@ -297,125 +221,78 @@ OutlineCheckResult check_outline(const System& sys, const ProofOutline& outline,
   if (options.symmetry) reducer.emplace(sys);
   const bool orbit = reducer.has_value() && reducer->symmetric();
 
-  explore::ReachOptions ropts;
-  ropts.budget.max_states = options.max_states;
-  ropts.budget.max_visited_bytes = options.max_visited_bytes;
-  ropts.budget.deadline_ms = options.deadline_ms;
-  ropts.num_threads = options.num_threads;
-  ropts.por = options.por;
-  ropts.symmetry = options.symmetry;
-  ropts.rf_quotient = options.rf_quotient;
-  ropts.sleep_sets = options.symmetry || options.rf_quotient;
-  if (options.rf_quotient) collect_rf_pins(sys, outline, ropts.rf_pins);
-  ropts.mode = options.mode;
-  ropts.sample = options.sample;
-  ropts.want_labels = true;  // interference messages cite the step label
-  ropts.trace = trace_store ? &*trace_store : nullptr;
-  ropts.cancel = options.cancel;
-  ropts.fault = options.fault;
-  ropts.resume = options.resume;
-
-  const std::uint64_t init_digest =
-      options.track_traces ? witness::config_digest(lang::initial_config(sys))
-                           : 0;
-
-  const auto reach = explore::visit_reachable(
-      sys, ropts,
-      [&](const Config& cfg, std::uint64_t id,
-          std::span<const lang::Step> steps) -> bool {
-        std::uint64_t local_obligations = 0;
-        bool stop = false;
-        const auto check_member = [&](const Config& member,
-                                      std::span<const lang::Step> msteps,
-                                      bool is_rep) {
-          std::vector<std::string> local_failures;
-          local_obligations += evaluate_obligations(
-              sys, outline, options, member, msteps,
-              [&](std::string obligation) {
-                local_failures.push_back(std::move(obligation));
-              });
-          if (local_failures.empty()) return;
-          valid.store(false, std::memory_order_relaxed);
-          const auto dump = member.to_string(sys);
-          std::vector<std::string> trace;
-          std::optional<witness::Witness> wit;
-          if (trace_store) {
-            const auto edges = trace_store->path_to(id);
-            trace.reserve(edges.size() + 2);
-            trace.emplace_back("init");
-            witness::Witness w;
-            w.kind = "outline";
-            w.source = "og::check_outline";
-            w.state_dump = dump;
-            w.initial_digest = init_digest;
-            w.steps.reserve(edges.size());
-            std::vector<std::uint64_t> enc;
-            for (const auto& e : edges) {
-              trace.push_back(e.label);
-              enc.clear();
-              trace_store->decode_state(e.state, enc);
-              w.steps.push_back({e.thread, e.label, support::hash_words(enc)});
+  const engine::StateVisitor visitor = [&](const Config& cfg, std::uint64_t id,
+                                           std::span<const lang::Step> steps) {
+    std::uint64_t local_obligations = 0;
+    bool stop = false;
+    const auto check_member = [&](const Config& member,
+                                  std::span<const lang::Step> msteps,
+                                  bool is_rep) {
+      std::vector<std::string> local_failures;
+      local_obligations += evaluate_obligations(
+          sys, outline, options, member, msteps, [&](std::string obligation) {
+            local_failures.push_back(std::move(obligation));
+          });
+      if (local_failures.empty()) return;
+      valid.store(false, std::memory_order_relaxed);
+      // One recorded run serves every obligation failed at this member.
+      ObligationFailure shared = make_failure(run, id, {}, member.to_string(sys));
+      if (!is_rep && !shared.trace.empty()) {
+        shared.trace.emplace_back(
+            "(failing state is a thread permutation of the state this trace "
+            "reaches)");
+      }
+      std::lock_guard<std::mutex> lock(failures_mu);
+      for (auto& obligation : local_failures) {
+        ObligationFailure failure = shared;
+        failure.obligation = std::move(obligation);
+        if (failure.witness) failure.witness->what = failure.obligation;
+        result.failures.push_back(std::move(failure));
+      }
+      if (options.stop_at_first_failure) stop = true;
+    };
+    if (orbit) {
+      std::vector<lang::Step> psteps;
+      bool is_rep = true;
+      reducer->for_each_orbit(
+          cfg, [&](const Config& member, const engine::ThreadPerm& perm) {
+            if (stop) return;
+            if (is_rep) {
+              is_rep = false;
+              check_member(member, steps, /*is_rep=*/true);
+              return;
             }
-            if (!is_rep) {
-              trace.emplace_back(
-                  "(failing state is a thread permutation of the state this "
-                  "trace reaches)");
+            psteps.clear();
+            psteps.reserve(steps.size());
+            for (const auto& step : steps) {
+              psteps.push_back(lang::Step{perm[step.thread], step.label,
+                                          reducer->permuted(step.after, perm),
+                                          step.meta});
             }
-            wit = std::move(w);
-          }
-          {
-            std::lock_guard<std::mutex> lock(failures_mu);
-            for (auto& obligation : local_failures) {
-              ObligationFailure failure;
-              failure.obligation = std::move(obligation);
-              failure.state_dump = dump;
-              failure.trace = trace;
-              if (wit) {
-                failure.witness = *wit;
-                failure.witness->what = failure.obligation;
-              }
-              result.failures.push_back(std::move(failure));
-            }
-          }
-          if (options.stop_at_first_failure) stop = true;
-        };
-        if (orbit) {
-          std::vector<lang::Step> psteps;
-          bool is_rep = true;
-          reducer->for_each_orbit(
-              cfg, [&](const Config& member, const engine::ThreadPerm& perm) {
-                if (stop) return;
-                if (is_rep) {
-                  is_rep = false;
-                  check_member(member, steps, /*is_rep=*/true);
-                  return;
-                }
-                psteps.clear();
-                psteps.reserve(steps.size());
-                for (const auto& step : steps) {
-                  psteps.push_back(lang::Step{
-                      perm[step.thread], step.label,
-                      reducer->permuted(step.after, perm), step.meta});
-                }
-                check_member(member, psteps, /*is_rep=*/false);
-              });
-        } else {
-          check_member(cfg, steps, /*is_rep=*/true);
-        }
-        obligations.fetch_add(local_obligations, std::memory_order_relaxed);
-        return !stop;
-      });
+            check_member(member, psteps, /*is_rep=*/false);
+          });
+    } else {
+      check_member(cfg, steps, /*is_rep=*/true);
+    }
+    obligations.fetch_add(local_obligations, std::memory_order_relaxed);
+    return !stop;
+  };
+  OutlineDelegate delegate(sys, outline, options, run);
 
-  result.valid = valid.load();
+  // Interference messages cite the step label.
+  const auto reach =
+      run.run(visitor, delegate, {.rf_pins = pins, .want_labels = true});
+
   result.stats = reach.stats;
   result.stop = reach.stop;
-  result.obligations_checked = obligations.load();
-  if (!options.checkpoint_path.empty() && reach.truncated()) {
-    engine::save_checkpoint(
-        engine::make_checkpoint(*trace_store, reach.stats, reach.stop,
-                                options.por, options.symmetry,
-                                options.rf_quotient),
-        options.checkpoint_path);
+  result.dist = reach.telemetry;
+  if (options.workers > 0) {
+    result.valid = delegate.valid;
+    result.failures = std::move(delegate.failures);
+    result.obligations_checked = delegate.obligations;
+  } else {
+    result.valid = valid.load();
+    result.obligations_checked = obligations.load();
   }
   return result;
 }

@@ -72,7 +72,8 @@ struct ObligationFailure {
   std::string obligation;  ///< which check failed, human-readable
   std::string state_dump;
   std::vector<std::string> trace;  ///< when trace tracking is enabled
-  /// Structured, replayable counterexample (present iff track_traces):
+  /// Structured, replayable counterexample (present iff the run records
+  /// traces — track_traces or checkpoint_path):
   /// serialise with witness::to_json, validate with witness::replay.
   std::optional<witness::Witness> witness;
 };
@@ -95,72 +96,36 @@ struct OutlineCheckResult {
   }
 };
 
-struct OutlineCheckOptions {
-  std::uint64_t max_states = 1'000'000;
+/// The outline checker's options: the shared run settings
+/// (engine::RunOptions) plus its own obligation knobs.  How the run-level
+/// settings bear on obligations:
+///   * num_threads > 1 evaluates obligations in parallel over the same state
+///     set — the verdict and the *set* of failed obligations are identical,
+///     but failures arrive unordered and the trace attached to each may
+///     differ run to run (every recorded trace is still a real execution).
+///   * `por` evaluates obligations on the reduced state set: failures found
+///     are real and failures at final/blocked states (postconditions,
+///     deadlocks) are never missed, but an obligation violated only at a
+///     pruned intermediate interleaving may be — POR trades the full
+///     quantification of the Owicki–Gries side conditions for outcome-level
+///     soundness (RC11_POR_CROSSCHECK checks verdict agreement on the
+///     outline corpus).
+///   * `symmetry` stays exact: obligations are evaluated at every orbit
+///     member of each visited representative, with the member's enabled
+///     steps obtained by permuting the representative's, so the verdict,
+///     the failed obligations and obligations_checked equal an unreduced
+///     run's.
+///   * `rf_quotient` pins the view footprint of every annotation and of the
+///     global invariant into the quotient key, so the verdict and the set of
+///     failed obligations equal an unreduced run's (obligations_checked
+///     shrinks with the visited set); rejected loudly when an annotation has
+///     an unknown footprint (assertions::pred).
+///   * Strategy::Sample evaluates obligations on the states the episodes
+///     cross: failures found are real, but `valid` is never a proof — the
+///     result stops with StopReason::EpisodeCap, so truncated() holds.
+struct OutlineCheckOptions : engine::RunOptions {
   bool check_interference = true;  ///< also run the pairwise OG side condition
   bool stop_at_first_failure = true;
-  bool track_traces = false;
-  /// Worker threads enumerating the reachable state space (same convention
-  /// as explore::ExploreOptions::num_threads).  The default stays 1: outline
-  /// checking is the substitution for the paper's Owicki–Gries proofs, and
-  /// the sequential DFS gives reproducible failure order.  With N > 1
-  /// validity/interference obligations are evaluated in parallel over the
-  /// same state set — the verdict and the *set* of failed obligations are
-  /// identical, but failures arrive unordered and the specific trace/witness
-  /// attached to each may differ run to run (every recorded trace is still a
-  /// real execution and replays — see witness::replay).
-  unsigned num_threads = 1;
-  /// Ample-set POR in the shared driver (see explore::ExploreOptions::por).
-  /// Annotations and interference obligations are evaluated on the reduced
-  /// state set: failures found are real, and failures at final/blocked
-  /// states (postconditions, deadlocks) are never missed, but an obligation
-  /// violated only at a pruned intermediate interleaving may be — POR trades
-  /// the full quantification of the Owicki–Gries side conditions for
-  /// outcome-level soundness.  The RC11_POR_CROSSCHECK suite checks exact
-  /// verdict agreement on the outline corpus.  Default off.
-  bool por = false;
-  /// Thread-symmetry reduction (see explore::ExploreOptions::symmetry).
-  /// Exactness is preserved: obligations are evaluated at every orbit member
-  /// of each visited representative, with the member's enabled steps
-  /// obtained by permuting the representative's (the group action commutes
-  /// with the successor relation), so the verdict, the set of failed
-  /// obligations and obligations_checked equal an unreduced run's.  Failure
-  /// traces lead to the representative; a failure at a permuted member is
-  /// flagged in its trace.  Sound no-op without interchangeable threads;
-  /// rejected under Strategy::Sample.  Default off.
-  bool symmetry = false;
-  /// Execution-graph quotient (see explore::ExploreOptions::rf_quotient).
-  /// check_outline pins the view footprint of every annotation and of the
-  /// global invariant into the quotient key, which makes every obligation a
-  /// function of the key — the verdict, the set of failed obligations and
-  /// obligations-per-class equal an unreduced run's per merged class (the
-  /// total obligations_checked count shrinks with the visited set).
-  /// Rejected loudly when any annotation has an unknown footprint
-  /// (assertions::pred), with --symmetry (v1), under Strategy::Sample and
-  /// under the SC model.  Default off.
-  bool rf_quotient = false;
-  /// Coverage mode (engine/sample.hpp).  Under Strategy::Sample the
-  /// obligations are evaluated on the states `sample.episodes` seeded random
-  /// schedules cross: failures found are real, but `valid` is never a proof
-  /// — the result stops with StopReason::EpisodeCap, so truncated() holds
-  /// and callers already treat the verdict as a lower bound.
-  /// checkpoint_path/resume are rejected loudly under sampling.
-  engine::Strategy mode = engine::Strategy::Exhaustive;
-  /// Tuning for mode == Strategy::Sample; ignored otherwise.
-  engine::SampleOptions sample;
-  /// Resource governance and resumability — same semantics as the matching
-  /// explore::ExploreOptions fields.
-  std::uint64_t max_visited_bytes = 0;  ///< bytes; 0 = unlimited
-  std::uint64_t deadline_ms = 0;        ///< wall clock; 0 = none
-  const engine::CancelToken* cancel = nullptr;
-  engine::FaultPlan fault;
-  const engine::Checkpoint* resume = nullptr;
-  /// Written when the run stops early; implies trace recording.
-  std::string checkpoint_path;
-  /// Supervised multi-process checking (engine/supervise.hpp; same contract
-  /// as explore::ExploreOptions::workers): 0 stays in-process.  Rejected
-  /// with symmetry, Strategy::Sample, num_threads > 1 and resume.
-  unsigned workers = 0;
 };
 
 /// Checks outline validity (and, optionally, interference freedom) over the

@@ -9,7 +9,6 @@
 #include <tuple>
 #include <utility>
 
-#include "engine/checkpoint.hpp"
 #include "engine/symmetry.hpp"
 #include "support/diagnostics.hpp"
 #include "support/hash.hpp"
@@ -18,7 +17,6 @@ namespace rc11::race {
 
 namespace {
 
-using engine::ReachOptions;
 using engine::ShardedVisitedSet;
 using lang::Step;
 
@@ -59,6 +57,29 @@ std::string describe(const System& sys, const RaceRecord& r) {
   return os.str();
 }
 
+/// Fills `out` for a directly observed record: description, the state right
+/// after the racing step, and — when the run records traces — the recorded
+/// path to the visited state plus one appended step, the racing step
+/// itself, so the witness replays through *both* access sites.
+void observe(ReportedRace& out, const System& traced,
+             const engine::CheckerRun& run, const RaceRecord& rec,
+             std::uint64_t id, lang::ThreadId step_thread,
+             const std::string& step_label, std::uint64_t step_digest,
+             std::string state_dump) {
+  out.record = rec;
+  out.location = traced.locations().name(rec.loc);
+  out.what = describe(traced, rec);
+  out.state_dump = std::move(state_dump);
+  auto recorded =
+      run.recorded_run(id, "race", "race", out.what, out.state_dump);
+  if (recorded.witness) {
+    recorded.trace.push_back(step_label);
+    recorded.witness->steps.push_back({step_thread, step_label, step_digest});
+  }
+  out.trace = std::move(recorded.trace);
+  out.witness = std::move(recorded.witness);
+}
+
 /// The race checker's two supervised halves (engine/supervise.hpp): workers
 /// ship one event per race record harvested from a step's post-state —
 /// numeric record fields plus the racing step's thread, label and post-state
@@ -67,12 +88,9 @@ std::string describe(const System& sys, const RaceRecord& r) {
 /// shared sink, in deterministic state order.
 class RaceDelegate final : public engine::DistDelegate {
  public:
-  RaceDelegate(const System& traced, const RaceOptions& options)
-      : traced_(traced),
-        options_(options),
-        init_digest_(options.track_traces
-                         ? witness::config_digest(lang::initial_config(traced))
-                         : 0) {}
+  RaceDelegate(const System& traced, const RaceOptions& options,
+               const engine::CheckerRun& run)
+      : traced_(traced), options_(options), run_(run) {}
 
   bool evaluate(const Config& cfg, std::span<const Step> steps,
                 std::vector<witness::Json>& events) override {
@@ -109,7 +127,7 @@ class RaceDelegate final : public engine::DistDelegate {
   }
 
   bool absorb(const witness::Json& event, std::uint64_t id,
-              const ShardedVisitedSet& sink) override {
+              const ShardedVisitedSet& /*sink*/) override {
     const auto num = [&](const char* field) {
       return static_cast<std::uint64_t>(event.at(field).as_int());
     };
@@ -123,36 +141,11 @@ class RaceDelegate final : public engine::DistDelegate {
     rec.current.cat = static_cast<RaceCat>(num("ccat"));
     auto [it, inserted] = races.try_emplace(key_of(rec));
     if (inserted) {
-      ReportedRace& out = it->second;
-      out.record = rec;
-      out.location = traced_.locations().name(rec.loc);
-      out.what = describe(traced_, rec);
-      out.state_dump = event.at("dump").as_string();
-      if (options_.track_traces) {
-        const auto edges = sink.path_to(id);
-        out.trace.reserve(edges.size() + 2);
-        out.trace.emplace_back("init");
-        witness::Witness w;
-        w.kind = "race";
-        w.source = "race";
-        w.what = out.what;
-        w.state_dump = out.state_dump;
-        w.initial_digest = init_digest_;
-        w.steps.reserve(edges.size() + 1);
-        std::vector<std::uint64_t> enc;
-        for (const auto& e : edges) {
-          out.trace.push_back(e.label);
-          enc.clear();
-          sink.decode_state(e.state, enc);
-          w.steps.push_back({e.thread, e.label, support::hash_words(enc)});
-        }
-        const std::string& step_label = event.at("sl").as_string();
-        out.trace.push_back(step_label);
-        w.steps.push_back(
-            {static_cast<lang::ThreadId>(num("st")), step_label,
-             witness::digest_from_hex(event.at("sd").as_string())});
-        out.witness = std::move(w);
-      }
+      observe(it->second, traced_, run_, rec, id,
+              static_cast<lang::ThreadId>(num("st")),
+              event.at("sl").as_string(),
+              witness::digest_from_hex(event.at("sd").as_string()),
+              event.at("dump").as_string());
     }
     return !options_.stop_on_race;
   }
@@ -163,54 +156,8 @@ class RaceDelegate final : public engine::DistDelegate {
  private:
   const System& traced_;
   const RaceOptions& options_;
-  const std::uint64_t init_digest_;
+  const engine::CheckerRun& run_;
 };
-
-/// The --workers path of race::check: identical record harvesting and
-/// canonicalisation, run through the supervised multi-process driver.
-RaceResult check_dist(const System& traced, const RaceOptions& options) {
-  support::require(!options.symmetry,
-                   "--workers cannot be combined with --symmetry");
-  support::require(options.mode != engine::Strategy::Sample,
-                   "--workers cannot be combined with --strategy sample");
-  support::require(options.num_threads <= 1,
-                   "--workers runs worker processes; combine with --threads 1");
-  support::require(options.resume == nullptr,
-                   "--workers cannot resume a checkpoint; resume runs "
-                   "single-process (the checkpoint it writes is compatible)");
-
-  engine::SystemTransitions ts(traced);
-  ShardedVisitedSet sink;
-  RaceDelegate delegate(traced, options);
-
-  engine::DistOptions dopts;
-  dopts.workers = options.workers;
-  dopts.budget.max_states = options.max_states;
-  dopts.budget.max_visited_bytes = options.max_visited_bytes;
-  dopts.budget.deadline_ms = options.deadline_ms;
-  dopts.por = options.por;
-  dopts.fuse_local_steps = options.fuse_local_steps;
-  dopts.rf_quotient = options.rf_quotient;
-  dopts.cancel = options.cancel;
-  dopts.fault = options.fault;
-
-  const auto dres = engine::supervise_reach(ts, dopts, delegate, sink);
-
-  RaceResult result;
-  result.stats = dres.stats;
-  result.stop = dres.stop;
-  result.truncated = dres.truncated();
-  result.dist = dres.telemetry;
-  if (!options.checkpoint_path.empty() && dres.truncated()) {
-    engine::save_checkpoint(
-        engine::make_checkpoint(sink, dres.stats, dres.stop, options.por,
-                                /*symmetry=*/false, options.rf_quotient),
-        options.checkpoint_path);
-  }
-  result.races.reserve(delegate.races.size());
-  for (auto& [key, r] : delegate.races) result.races.push_back(std::move(r));
-  return result;
-}
 
 }  // namespace
 
@@ -239,158 +186,99 @@ RaceResult check(const System& sys, const RaceOptions& options) {
     traced.set_options(sem);
   }
 
-  if (options.workers > 0) return check_dist(traced, options);
-
-  if (options.mode == engine::Strategy::Sample) {
-    support::require(options.checkpoint_path.empty(),
-                     "--checkpoint is not supported under --strategy sample: "
-                     "a sampling run has no frontier to save");
-    support::require(options.resume == nullptr,
-                     "--resume is not supported under --strategy sample: a "
-                     "sampling run has no frontier to continue from");
-  }
-
-  std::optional<ShardedVisitedSet> trace_store;
-  if (options.track_traces || !options.checkpoint_path.empty()) {
-    trace_store.emplace();
-  }
+  engine::CheckerRun run(traced, options);
 
   std::optional<engine::SymmetryReducer> reducer;
   if (options.symmetry) reducer.emplace(traced);
   const bool orbit = reducer.has_value() && reducer->symmetric();
 
-  ReachOptions ropts;
-  ropts.budget.max_states = options.max_states;
-  ropts.budget.max_visited_bytes = options.max_visited_bytes;
-  ropts.budget.deadline_ms = options.deadline_ms;
-  ropts.num_threads = options.num_threads;
-  ropts.strategy = options.strategy;
-  ropts.fuse_local_steps = options.fuse_local_steps;
-  ropts.por = options.por;
-  ropts.symmetry = options.symmetry;
-  ropts.rf_quotient = options.rf_quotient;
-  ropts.sleep_sets = options.symmetry || options.rf_quotient;
-  ropts.mode = options.mode;
-  ropts.sample = options.sample;
-  ropts.trace = trace_store ? &*trace_store : nullptr;
-  ropts.cancel = options.cancel;
-  ropts.fault = options.fault;
-  ropts.resume = options.resume;
-
-  const std::uint64_t init_digest =
-      trace_store ? witness::config_digest(lang::initial_config(traced)) : 0;
-
   std::mutex mu;
   // An ordered map doubles as the dedup set and the canonical output order.
   std::map<Key, ReportedRace> races;
 
-  // Builds trace + witness for a directly observed record: the recorded
-  // path to the visited state plus one appended step — the racing step
-  // itself — so the witness replays through *both* access sites.
-  const auto observe = [&](ReportedRace& out, const RaceRecord& rec,
-                           std::uint64_t id, const Step& step) {
-    out.record = rec;
-    out.location = traced.locations().name(rec.loc);
-    out.what = describe(traced, rec);
-    out.state_dump = step.after.to_string(traced);
-    out.trace.clear();
-    out.witness.reset();
-    if (!trace_store) return;
-    // path_to is safe against concurrent inserts (see explore/explorer.cpp).
-    const auto edges = trace_store->path_to(id);
-    out.trace.reserve(edges.size() + 2);
-    out.trace.emplace_back("init");
-    witness::Witness w;
-    w.kind = "race";
-    w.source = "race";
-    w.what = out.what;
-    w.state_dump = out.state_dump;
-    w.initial_digest = init_digest;
-    w.steps.reserve(edges.size() + 1);
-    std::vector<std::uint64_t> enc;
-    for (const auto& e : edges) {
-      out.trace.push_back(e.label);
-      enc.clear();
-      trace_store->decode_state(e.state, enc);
-      w.steps.push_back({e.thread, e.label, support::hash_words(enc)});
+  const auto observe_step = [&](ReportedRace& out, const RaceRecord& rec,
+                                std::uint64_t id, const Step& step) {
+    std::uint64_t digest = 0;
+    if (run.trace() != nullptr) {
+      std::vector<std::uint64_t> enc;
+      step.after.encode_into(enc);
+      digest = support::hash_words(enc);
     }
-    enc.clear();
-    step.after.encode_into(enc);
-    out.trace.push_back(step.label);
-    w.steps.push_back({step.thread, step.label, support::hash_words(enc)});
-    out.witness = std::move(w);
+    observe(out, traced, run, rec, id, step.thread, step.label, digest,
+            step.after.to_string(traced));
   };
 
-  const auto reach = engine::visit_reachable(
-      traced, ropts,
-      [&](const Config& cfg, std::uint64_t id,
-          std::span<const Step> steps) -> bool {
-        (void)cfg;
-        bool keep_going = true;
-        for (const Step& step : steps) {
-          // Records live on the *post*-state of each enabled step, never on
-          // the visited configuration: the visited-set encoding excludes
-          // them, so a state reachable through both a racing and a
-          // race-free step would otherwise keep whichever arrived first.
-          for (const RaceRecord& raw : step.after.mem.race_records()) {
-            const RaceRecord rec = canonical_pair(raw);
-            if (options.stop_on_race) keep_going = false;
-            std::lock_guard<std::mutex> lock(mu);
-            auto [it, inserted] = races.try_emplace(key_of(rec));
-            if (inserted) {
-              observe(it->second, rec, id, step);
-            } else if (trace_store && !it->second.witness) {
-              // First inserted as a symmetry-closed sibling; now directly
-              // observed — upgrade it to a witnessed report.
-              observe(it->second, rec, id, step);
-            }
-            if (!orbit) continue;
-            // Orbit closure: a permuted execution of the racy trace is a
-            // real execution reporting the thread-permuted record, so the
-            // full (unreduced) race set is exactly the closure of the
-            // representative records under the symmetry group.  pcs stay:
-            // interchangeable threads run identical code.
-            const std::vector<std::string>& rep_trace = it->second.trace;
-            reducer->for_each_perm([&](const engine::ThreadPerm& perm) {
-              RaceRecord sibling = rec;
-              sibling.prior.thread = perm[rec.prior.thread];
-              sibling.current.thread = perm[rec.current.thread];
-              sibling = canonical_pair(sibling);
-              auto [sit, fresh] = races.try_emplace(key_of(sibling));
-              if (!fresh) return;
-              ReportedRace& sib = sit->second;
-              sib.record = sibling;
-              sib.location = traced.locations().name(sibling.loc);
-              sib.what = describe(traced, sibling);
-              sib.state_dump =
-                  reducer->permuted(step.after, perm).to_string(traced);
-              sib.trace = rep_trace;
-              if (!sib.trace.empty()) {
-                sib.trace.emplace_back(
-                    "(racing threads are a thread permutation of the threads "
-                    "this trace exercises)");
-              }
-              // No witness: the permuted execution was pruned by the
-              // quotient.  Its orbit representative above carries one.
-            });
-          }
+  const engine::StateVisitor visitor = [&](const Config& cfg, std::uint64_t id,
+                                           std::span<const Step> steps) {
+    (void)cfg;
+    bool keep_going = true;
+    for (const Step& step : steps) {
+      // Records live on the *post*-state of each enabled step, never on the
+      // visited configuration: the visited-set encoding excludes them, so a
+      // state reachable through both a racing and a race-free step would
+      // otherwise keep whichever arrived first.
+      for (const RaceRecord& raw : step.after.mem.race_records()) {
+        const RaceRecord rec = canonical_pair(raw);
+        if (options.stop_on_race) keep_going = false;
+        std::lock_guard<std::mutex> lock(mu);
+        auto [it, inserted] = races.try_emplace(key_of(rec));
+        if (inserted) {
+          observe_step(it->second, rec, id, step);
+        } else if (run.trace() != nullptr && !it->second.witness) {
+          // First inserted as a symmetry-closed sibling; now directly
+          // observed — upgrade it to a witnessed report.
+          observe_step(it->second, rec, id, step);
         }
-        return keep_going;
-      });
+        if (!orbit) continue;
+        // Orbit closure: a permuted execution of the racy trace is a real
+        // execution reporting the thread-permuted record, so the full
+        // (unreduced) race set is exactly the closure of the representative
+        // records under the symmetry group.  pcs stay: interchangeable
+        // threads run identical code.
+        const std::vector<std::string>& rep_trace = it->second.trace;
+        reducer->for_each_perm([&](const engine::ThreadPerm& perm) {
+          RaceRecord sibling = rec;
+          sibling.prior.thread = perm[rec.prior.thread];
+          sibling.current.thread = perm[rec.current.thread];
+          sibling = canonical_pair(sibling);
+          auto [sit, fresh] = races.try_emplace(key_of(sibling));
+          if (!fresh) return;
+          ReportedRace& sib = sit->second;
+          sib.record = sibling;
+          sib.location = traced.locations().name(sibling.loc);
+          sib.what = describe(traced, sibling);
+          sib.state_dump =
+              reducer->permuted(step.after, perm).to_string(traced);
+          sib.trace = rep_trace;
+          if (!sib.trace.empty()) {
+            sib.trace.emplace_back(
+                "(racing threads are a thread permutation of the threads "
+                "this trace exercises)");
+          }
+          // No witness: the permuted execution was pruned by the quotient.
+          // Its orbit representative above carries one.
+        });
+      }
+    }
+    return keep_going;
+  };
+  RaceDelegate delegate(traced, options, run);
+
+  const auto reach =
+      run.run(visitor, delegate,
+              {.rf_pins = {},  // race state is in the key (RaceOptions)
+               .strategy = options.strategy,
+               .fuse_local_steps = options.fuse_local_steps});
 
   RaceResult result;
   result.stats = reach.stats;
   result.stop = reach.stop;
   result.truncated = reach.truncated();
-  if (!options.checkpoint_path.empty() && reach.truncated()) {
-    engine::save_checkpoint(
-        engine::make_checkpoint(*trace_store, reach.stats, reach.stop,
-                                options.por, options.symmetry,
-                                options.rf_quotient),
-        options.checkpoint_path);
-  }
-  result.races.reserve(races.size());
-  for (auto& [key, r] : races) result.races.push_back(std::move(r));
+  result.dist = reach.telemetry;
+  // Exactly one of the two halves ran.
+  auto& found = options.workers > 0 ? delegate.races : races;
+  result.races.reserve(found.size());
+  for (auto& [key, r] : found) result.races.push_back(std::move(r));
   return result;
 }
 

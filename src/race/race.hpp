@@ -21,6 +21,11 @@
 // them, orbit-closes under thread symmetry, and attaches replayable
 // witnesses naming both access sites.
 //
+// Everything around the driver — option validation, the trace sink,
+// dispatch to the in-process or supervised driver, checkpoints — is the
+// shared harness's (engine/run.hpp); this module supplies the visitor, its
+// --workers delegate and the orbit closure.
+//
 // Soundness under the reductions mirrors the other checkers (DESIGN.md):
 // ample steps are local or private relaxed/non-atomic accesses, which
 // neither synchronise nor conflict with another thread, so deferring them
@@ -38,6 +43,7 @@
 #include <vector>
 
 #include "engine/reach.hpp"
+#include "engine/run.hpp"
 #include "engine/supervise.hpp"
 #include "lang/config.hpp"
 #include "memsem/state.hpp"
@@ -54,50 +60,22 @@ using memsem::RaceRecord;
 /// Human name of an access category ("non-atomic write", …).
 [[nodiscard]] const char* access_name(RaceCat cat) noexcept;
 
-struct RaceOptions {
-  /// Hard cap on distinct states; the check reports truncation beyond it.
-  std::uint64_t max_states = 1'000'000;
+/// The race checker's options: the shared run settings (engine::RunOptions)
+/// plus its search order, local-step fusion and stop knob.  The *set* of reported races is identical for
+/// every thread count, worker count and reduction; only traces, state dumps
+/// and witness choice may differ between runs.  `rf_quotient` needs no
+/// pinning here: race clocks, summary cells and per-op messages are part of
+/// the quotient key whenever race_detection is on, and records surface on
+/// step post-states, which pair up class-by-class.  Under Strategy::Sample
+/// the race set is a lower bound.  NOTE: witnesses from a race run replay
+/// only against a System whose SemanticsOptions::race_detection is true
+/// (the clocks are part of the state encoding the digests cover).
+struct RaceOptions : engine::RunOptions {
+  /// Search order and local-step fusion, as in explore::ExploreOptions.
   engine::SearchStrategy strategy = engine::SearchStrategy::Dfs;
-  /// Worker threads (see explore::ExploreOptions::num_threads).  The *set*
-  /// of reported races is identical for every thread count; only traces,
-  /// state dumps and witness choice may differ between runs.
-  unsigned num_threads = 1;
-  /// Sound reductions, same semantics as the explorer's flags.  Race
-  /// reports survive both: see the soundness note in the header comment.
   bool fuse_local_steps = false;
-  bool por = false;
-  bool symmetry = false;
-  /// Execution-graph quotient (see explore::ExploreOptions::rf_quotient).
-  /// Exact for the race set without any pinning: race clocks, summary cells
-  /// and per-op messages are part of the quotient key whenever
-  /// race_detection is on (memsem encodes them alongside the modification
-  /// orders), and records surface on step post-states, which pair up
-  /// class-by-class.  Rejected with --symmetry (v1), under Strategy::Sample
-  /// and under the SC model.
-  bool rf_quotient = false;
-  /// Exhaustive (default) or Sample coverage; under Sample the race set is
-  /// a lower bound and checkpoint/resume are rejected.
-  engine::Strategy mode = engine::Strategy::Exhaustive;
-  engine::SampleOptions sample;
   /// Stop at the first race (default off: cross-checks compare full sets).
   bool stop_on_race = false;
-  /// Record parent links so each race carries a trace and a replayable
-  /// witness covering both access sites.  NOTE: witnesses from a race run
-  /// replay only against a System whose SemanticsOptions::race_detection is
-  /// true (the clocks are part of the state encoding the digests cover).
-  bool track_traces = false;
-  std::uint64_t max_visited_bytes = 0;  ///< visited-set budget (0 = none)
-  std::uint64_t deadline_ms = 0;        ///< wall-clock budget (0 = none)
-  const engine::CancelToken* cancel = nullptr;
-  engine::FaultPlan fault;
-  /// Resume from a checkpoint of an earlier stopped race run.
-  const engine::Checkpoint* resume = nullptr;
-  /// Write a checkpoint here when the run stops early (implies traces).
-  std::string checkpoint_path;
-  /// Supervised multi-process checking (engine/supervise.hpp; same contract
-  /// as explore::ExploreOptions::workers): 0 stays in-process.  Rejected
-  /// with symmetry, Strategy::Sample, num_threads > 1 and resume.
-  unsigned workers = 0;
 };
 
 /// One data race.  `record` is an *unordered* pair in canonical order (the
@@ -108,9 +86,9 @@ struct ReportedRace {
   std::string location;    ///< location name (record.loc resolved)
   std::string what;        ///< one-line description naming both sites
   std::string state_dump;  ///< configuration right after the racing step
-  std::vector<std::string> trace;  ///< step labels (iff track_traces)
+  std::vector<std::string> trace;  ///< step labels (iff traces are recorded)
   /// Replayable witness whose final step performs the racing access
-  /// (present iff track_traces and this record was directly observed —
+  /// (present iff traces are recorded and this record was directly observed —
   /// symmetry-closed siblings reuse the representative's trace, flagged by
   /// a trailing note, and carry no witness of their own).
   std::optional<witness::Witness> witness;

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "explore/explorer.hpp"
 #include "og/proof_outline.hpp"
 #include "parser/parser.hpp"
+#include "race/race.hpp"
 #include "support/diagnostics.hpp"
 
 namespace {
@@ -531,34 +533,114 @@ TEST(Checkpoint, ResumedRunViolationsCarryReplayableWitnesses) {
   }
 }
 
-// The outline checker rides the same machinery: a truncated check resumes
-// to the same verdict and the same obligation count.
+/// What a checker run reports that resume and worker count must not move:
+/// the state-space counters plus a rendering of the verdict.
+struct CheckerOutcome {
+  engine::ExploreStats stats;
+  StopReason stop = StopReason::Complete;
+  std::string verdict;
+};
+
+// Every checker rides the run harness (engine/run.hpp): for explore, race
+// and og, under each reduction the checker accepts, a run truncated at the
+// state cap — checkpointed by an in-process or a 2-worker run — resumes to
+// the uninterrupted run's stats and verdict; and a 2-worker run agrees with
+// the in-process one.
 TEST(Checkpoint, OutlineCheckResumes) {
-  const auto program = parser::parse_file(prog("mp_verified.rc11"));
-  ASSERT_TRUE(program.outline.has_value());
+  const auto ticket = parser::parse_file(prog("ticket_lock.rc11"));
+  const auto racy = parser::parse_file(prog("dcl_broken.rc11"));
+  const auto outlined = parser::parse_file(prog("mp_verified.rc11"));
+  ASSERT_TRUE(outlined.outline.has_value());
 
-  og::OutlineCheckOptions full_opts;
-  const auto full = og::check_outline(program.sys, *program.outline, full_opts);
-  ASSERT_EQ(full.stop, StopReason::Complete);
-  ASSERT_TRUE(full.valid);
+  struct Checker {
+    const char* name;
+    std::function<CheckerOutcome(const engine::RunOptions&)> run;
+  };
+  const Checker checkers[] = {
+      {"explore",
+       [&](const engine::RunOptions& base) {
+         ExploreOptions o;
+         static_cast<engine::RunOptions&>(o) = base;
+         const auto r = explore::explore(ticket.sys, o);
+         std::string verdict;
+         for (const auto& tuple : explore::final_register_values(
+                  ticket.sys, r, all_regs(ticket.sys))) {
+           for (const auto v : tuple) verdict += std::to_string(v) + ",";
+           verdict += ";";
+         }
+         return CheckerOutcome{r.stats, r.stop, verdict};
+       }},
+      {"race",
+       [&](const engine::RunOptions& base) {
+         race::RaceOptions o;
+         static_cast<engine::RunOptions&>(o) = base;
+         const auto r = race::check(racy.sys, o);
+         std::string verdict;
+         for (const auto& race : r.races) verdict += race.what + ";";
+         return CheckerOutcome{r.stats, r.stop, verdict};
+       }},
+      {"og",
+       [&](const engine::RunOptions& base) {
+         og::OutlineCheckOptions o;
+         static_cast<engine::RunOptions&>(o) = base;
+         const auto r = og::check_outline(outlined.sys, *outlined.outline, o);
+         return CheckerOutcome{
+             r.stats, r.stop,
+             (r.valid ? "valid " : "invalid ") +
+                 std::to_string(r.obligations_checked) + " " +
+                 std::to_string(r.failures.size())};
+       }},
+  };
+  const auto expect_same = [](const CheckerOutcome& a, const CheckerOutcome& b,
+                              bool transitions, const std::string& what) {
+    EXPECT_EQ(a.stop, b.stop) << what;
+    EXPECT_EQ(a.stats.states, b.stats.states) << what;
+    if (transitions) {
+      EXPECT_EQ(a.stats.transitions, b.stats.transitions) << what;
+    }
+    EXPECT_EQ(a.stats.finals, b.stats.finals) << what;
+    EXPECT_EQ(a.stats.blocked, b.stats.blocked) << what;
+    EXPECT_EQ(a.verdict, b.verdict) << what;
+  };
 
-  TempFile ck("budget_outline.json");
-  og::OutlineCheckOptions trunc_opts;
-  trunc_opts.max_states = 5;
-  trunc_opts.checkpoint_path = ck.path;
-  const auto truncated =
-      og::check_outline(program.sys, *program.outline, trunc_opts);
-  ASSERT_EQ(truncated.stop, StopReason::StateCap);
+  for (const auto& checker : checkers) {
+    for (const char* reduction : {"plain", "por", "rf_quotient"}) {
+      engine::RunOptions base;
+      base.por = std::string(reduction) == "por";
+      base.rf_quotient = std::string(reduction) == "rf_quotient";
+      const std::string what = std::string(checker.name) + " " + reduction;
 
-  const auto ckpt = engine::load_checkpoint(ck.path);
-  og::OutlineCheckOptions resume_opts;
-  resume_opts.resume = &ckpt;
-  const auto resumed =
-      og::check_outline(program.sys, *program.outline, resume_opts);
-  EXPECT_EQ(resumed.stop, StopReason::Complete);
-  EXPECT_TRUE(resumed.valid);
-  EXPECT_EQ(resumed.stats.states, full.stats.states);
-  EXPECT_EQ(resumed.obligations_checked, full.obligations_checked);
+      const auto full = checker.run(base);
+      ASSERT_EQ(full.stop, StopReason::Complete) << what;
+      ASSERT_GT(full.stats.states, 2u) << what;
+
+      // The supervised run visits the same states and reaches the same
+      // verdict (sleep sets, which prune only transitions, ride along with
+      // the quotient in-process alone).
+      engine::RunOptions supervised = base;
+      supervised.workers = 2;
+      expect_same(full, checker.run(supervised), !base.rf_quotient,
+                  what + " workers=2");
+
+      for (const unsigned writer : {0u, 2u}) {
+        const std::string case_name =
+            what + " checkpointed by workers=" + std::to_string(writer);
+        TempFile ck("budget_resume.json");
+        engine::RunOptions trunc = base;
+        trunc.max_states = full.stats.states / 2;
+        trunc.checkpoint_path = ck.path;
+        trunc.workers = writer;
+        ASSERT_EQ(checker.run(trunc).stop, StopReason::StateCap) << case_name;
+
+        const auto ckpt = engine::load_checkpoint(ck.path);
+        EXPECT_EQ(ckpt.por, base.por) << case_name;
+        EXPECT_EQ(ckpt.rf_quotient, base.rf_quotient) << case_name;
+        engine::RunOptions resume = base;
+        resume.resume = &ckpt;
+        expect_same(full, checker.run(resume), true, case_name);
+      }
+    }
+  }
 }
 
 }  // namespace

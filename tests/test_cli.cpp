@@ -250,6 +250,39 @@ TEST(Cli, RaceSamplingIsNeverDefinitivelyClean) {
             2);
 }
 
+TEST(Cli, RepeatedStrategyIsRejected) {
+  // `--strategy por` sets the same `por` as --por, so a later --strategy
+  // could not undo it: every tool refuses a second --strategy instead of
+  // running something other than the last flag asked for.
+  const std::string pair = prog("lock_client_abstract.rc11") + " " +
+                           prog("lock_client_seqlock.rc11");
+  for (const std::string& cmd :
+       {bin("rc11-run") + " --strategy por --strategy exhaustive " +
+            prog("sb.rc11"),
+        bin("rc11-race") + " --strategy exhaustive --strategy por " +
+            prog("sb.rc11"),
+        bin("rc11-verify") + " --strategy por --strategy sample:10 " +
+            prog("mp_verified.rc11"),
+        bin("rc11-refine") + " --strategy sample --strategy exhaustive " +
+            pair}) {
+    std::string out;
+    EXPECT_EQ(run(cmd, &out), 1) << cmd;
+    EXPECT_NE(
+        out.find("--strategy given more than once; pick one coverage strategy"),
+        std::string::npos)
+        << cmd << "\n" << out;
+  }
+  // The two spellings of the one POR setting still combine, and --json
+  // reports the run as "por".
+  const std::string json = tmp_path("strategy.json");
+  EXPECT_EQ(run(bin("rc11-run") + " --por --strategy por --json " + json +
+                " " + prog("sb.rc11")),
+            0);
+  EXPECT_NE(read_file(json).find("\"strategy\": \"por\""), std::string::npos)
+      << read_file(json);
+  unlink(json.c_str());
+}
+
 /// The "races" array of a --json summary, for byte-comparison across engine
 /// configurations (the surrounding stats/strategy fields legitimately vary).
 std::string race_list_of(const std::string& json) {

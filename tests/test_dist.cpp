@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <random>
 #include <string>
 #include <string_view>
@@ -102,43 +103,98 @@ void expect_identical(const explore::ExploreResult& a,
 
 // --- Flag-combination rejections ---------------------------------------------
 
+/// Runs `check` and expects it to throw support::Error with exactly
+/// `message`.
+template <typename Check>
+void expect_rejected(const Check& check, const std::string& message,
+                     const std::string& what) {
+  try {
+    check();
+    ADD_FAILURE() << what << ": accepted, expected \"" << message << "\"";
+  } catch (const support::Error& e) {
+    EXPECT_EQ(std::string(e.what()), message) << what;
+  }
+}
+
+// Every run-level rejection, for every checker: the combinations a
+// supervised run cannot honour, and the ones a sampling run cannot.
 TEST(Dist, RejectsUnsupportedCombinations) {
-  const auto program = parser::parse_file(prog("sb.rc11"));
-
-  ExploreOptions sym;
-  sym.workers = 2;
-  sym.symmetry = true;
-  EXPECT_THROW((void)explore::explore(program.sys, sym), support::Error);
-
-  ExploreOptions sample;
-  sample.workers = 2;
-  sample.mode = engine::Strategy::Sample;
-  EXPECT_THROW((void)explore::explore(program.sys, sample), support::Error);
-
-  ExploreOptions threads;
-  threads.workers = 2;
-  threads.num_threads = 4;
-  EXPECT_THROW((void)explore::explore(program.sys, threads), support::Error);
-
+  const auto program = parser::parse_file(prog("mp_verified.rc11"));
+  ASSERT_TRUE(program.outline.has_value());
   const engine::Checkpoint cp;
-  ExploreOptions resume;
-  resume.workers = 2;
-  resume.resume = &cp;
-  EXPECT_THROW((void)explore::explore(program.sys, resume), support::Error);
+  const std::string ckpt_path = ::testing::TempDir() + "rejected.ckpt";
 
-  race::RaceOptions ropts;
-  ropts.workers = 2;
-  ropts.symmetry = true;
-  EXPECT_THROW((void)race::check(program.sys, ropts), support::Error);
-
-  const auto outlined = parser::parse_file(prog("mp_verified.rc11"));
-  ASSERT_TRUE(outlined.outline.has_value());
-  og::OutlineCheckOptions oopts;
-  oopts.workers = 2;
-  oopts.num_threads = 3;
-  EXPECT_THROW(
-      (void)og::check_outline(outlined.sys, *outlined.outline, oopts),
-      support::Error);
+  struct Rejection {
+    const char* name;
+    void (*set)(engine::RunOptions&, const engine::Checkpoint&,
+                const std::string&);
+    const char* message;
+  };
+  const Rejection rejections[] = {
+      {"workers+symmetry",
+       [](engine::RunOptions& o, const engine::Checkpoint&,
+          const std::string&) {
+         o.workers = 2;
+         o.symmetry = true;
+       },
+       "--workers cannot be combined with --symmetry"},
+      {"workers+sample",
+       [](engine::RunOptions& o, const engine::Checkpoint&,
+          const std::string&) {
+         o.workers = 2;
+         o.mode = engine::Strategy::Sample;
+       },
+       "--workers cannot be combined with --strategy sample"},
+      {"workers+threads",
+       [](engine::RunOptions& o, const engine::Checkpoint&,
+          const std::string&) {
+         o.workers = 2;
+         o.num_threads = 4;
+       },
+       "--workers runs worker processes; combine with --threads 1"},
+      {"workers+resume",
+       [](engine::RunOptions& o, const engine::Checkpoint& c,
+          const std::string&) {
+         o.workers = 2;
+         o.resume = &c;
+       },
+       "--workers cannot resume a checkpoint; resume runs single-process "
+       "(the checkpoint it writes is compatible)"},
+      {"sample+checkpoint",
+       [](engine::RunOptions& o, const engine::Checkpoint&,
+          const std::string& path) {
+         o.mode = engine::Strategy::Sample;
+         o.checkpoint_path = path;
+       },
+       "--checkpoint is not supported under --strategy sample: a sampling "
+       "run has no frontier to save"},
+      {"sample+resume",
+       [](engine::RunOptions& o, const engine::Checkpoint& c,
+          const std::string&) {
+         o.mode = engine::Strategy::Sample;
+         o.resume = &c;
+       },
+       "--resume is not supported under --strategy sample: a sampling run "
+       "has no frontier to continue from (re-run with a fresh seed "
+       "instead)"},
+  };
+  for (const auto& r : rejections) {
+    ExploreOptions eo;
+    r.set(eo, cp, ckpt_path);
+    expect_rejected([&] { (void)explore::explore(program.sys, eo); },
+                    r.message, std::string("explore ") + r.name);
+    race::RaceOptions ro;
+    r.set(ro, cp, ckpt_path);
+    expect_rejected([&] { (void)race::check(program.sys, ro); }, r.message,
+                    std::string("race ") + r.name);
+    og::OutlineCheckOptions oo;
+    r.set(oo, cp, ckpt_path);
+    expect_rejected(
+        [&] { (void)og::check_outline(program.sys, *program.outline, oo); },
+        r.message, std::string("og ") + r.name);
+  }
+  // Rejected before any work: no checkpoint file appears.
+  EXPECT_FALSE(std::ifstream(ckpt_path).good());
 }
 
 // --- Worker-count independence -----------------------------------------------

@@ -14,6 +14,7 @@
 
 #include "engine/budget.hpp"
 #include "engine/checkpoint.hpp"
+#include "engine/run.hpp"
 #include "engine/sample.hpp"
 #include "explore/explorer.hpp"
 #include "og/proof_outline.hpp"
@@ -58,35 +59,41 @@ constexpr const char* kBuggyInvariant =
 // --- strategy parsing and names ---------------------------------------------
 
 TEST(Sample, ParseStrategy) {
-  Strategy mode = Strategy::Exhaustive;
-  std::uint64_t episodes = 0;
+  engine::RunOptions opts;
 
-  EXPECT_TRUE(engine::parse_strategy("exhaustive", mode, episodes));
-  EXPECT_EQ(mode, Strategy::Exhaustive);
-  EXPECT_TRUE(engine::parse_strategy("por", mode, episodes));
-  EXPECT_EQ(mode, Strategy::Por);
+  EXPECT_TRUE(engine::parse_strategy("exhaustive", opts));
+  EXPECT_EQ(opts.mode, Strategy::Exhaustive);
+  EXPECT_FALSE(opts.por);
+  EXPECT_TRUE(engine::parse_strategy("por", opts));
+  EXPECT_EQ(opts.mode, Strategy::Exhaustive);
+  EXPECT_TRUE(opts.por);
 
-  EXPECT_TRUE(engine::parse_strategy("sample", mode, episodes));
-  EXPECT_EQ(mode, Strategy::Sample);
-  EXPECT_EQ(episodes, engine::SampleOptions{}.episodes);
+  opts = {};
+  EXPECT_TRUE(engine::parse_strategy("sample", opts));
+  EXPECT_EQ(opts.mode, Strategy::Sample);
+  EXPECT_EQ(opts.sample.episodes, engine::SampleOptions{}.episodes);
 
-  EXPECT_TRUE(engine::parse_strategy("sample:17", mode, episodes));
-  EXPECT_EQ(mode, Strategy::Sample);
-  EXPECT_EQ(episodes, 17u);
+  EXPECT_TRUE(engine::parse_strategy("sample:17", opts));
+  EXPECT_EQ(opts.mode, Strategy::Sample);
+  EXPECT_EQ(opts.sample.episodes, 17u);
 
-  EXPECT_FALSE(engine::parse_strategy("", mode, episodes));
-  EXPECT_FALSE(engine::parse_strategy("bogus", mode, episodes));
-  EXPECT_FALSE(engine::parse_strategy("sample:", mode, episodes));
-  EXPECT_FALSE(engine::parse_strategy("sample:0", mode, episodes));
-  EXPECT_FALSE(engine::parse_strategy("sample:abc", mode, episodes));
-  EXPECT_FALSE(engine::parse_strategy("sample:12x", mode, episodes));
+  EXPECT_FALSE(engine::parse_strategy("", opts));
+  EXPECT_FALSE(engine::parse_strategy("bogus", opts));
+  EXPECT_FALSE(engine::parse_strategy("sample:", opts));
+  EXPECT_FALSE(engine::parse_strategy("sample:0", opts));
+  EXPECT_FALSE(engine::parse_strategy("sample:abc", opts));
+  EXPECT_FALSE(engine::parse_strategy("sample:12x", opts));
+  EXPECT_EQ(opts.sample.episodes, 17u);  // failed parses leave it untouched
 }
 
 TEST(Sample, StrategyAndStopReasonNames) {
-  EXPECT_EQ(engine::to_string(Strategy::Exhaustive),
-            std::string("exhaustive"));
-  EXPECT_EQ(engine::to_string(Strategy::Por), std::string("por"));
-  EXPECT_EQ(engine::to_string(Strategy::Sample), std::string("sample"));
+  engine::RunOptions opts;
+  EXPECT_EQ(engine::strategy_name(opts), std::string("exhaustive"));
+  opts.por = true;
+  EXPECT_EQ(engine::strategy_name(opts), std::string("por"));
+  opts.por = false;
+  opts.mode = Strategy::Sample;
+  EXPECT_EQ(engine::strategy_name(opts), std::string("sample"));
   EXPECT_EQ(engine::stop_reason_from_string(
                 engine::to_string(StopReason::EpisodeCap)),
             StopReason::EpisodeCap);

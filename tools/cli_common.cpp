@@ -148,9 +148,8 @@ FlagStatus parse_common_flag(int argc, char** argv, int& i,
     return value(out.resume_path) ? FlagStatus::Consumed : FlagStatus::Error;
   }
   if (arg == "--strategy") {
-    return ++i < argc &&
-                   engine::parse_strategy(argv[i], out.mode,
-                                          out.sample.episodes)
+    ++out.strategy_flags;
+    return ++i < argc && engine::parse_strategy(argv[i], out)
                ? FlagStatus::Consumed
                : FlagStatus::Error;
   }
@@ -164,7 +163,10 @@ FlagStatus parse_common_flag(int argc, char** argv, int& i,
   return FlagStatus::NotMine;
 }
 
-std::string resolve_strategy(CommonOptions& opts) {
+std::string resolve_strategy(const CommonOptions& opts) {
+  if (opts.strategy_flags > 1) {
+    return "--strategy given more than once; pick one coverage strategy";
+  }
   // Mutual exclusions between reductions hold under every strategy.
   for (const auto& rf : kReductionFlags) {
     if (rf.excludes == nullptr || !(opts.*rf.member)) continue;
@@ -197,10 +199,27 @@ std::string resolve_strategy(CommonOptions& opts) {
   if (opts.seed_set) {
     return "--seed only applies to --strategy sample";
   }
-  // --por and --strategy por are one setting; normalise both ways.
-  if (opts.mode == engine::Strategy::Por) opts.por = true;
-  if (opts.por) opts.mode = engine::Strategy::Por;
   return {};
+}
+
+void arm_run(CommonOptions& opts, std::optional<engine::Checkpoint>& resume) {
+  if (!opts.resume_path.empty()) {
+    resume = engine::load_checkpoint(opts.resume_path);
+    std::cout << "resuming from " << opts.resume_path << " ("
+              << resume->states.size() << " state(s), stopped: "
+              << engine::to_string(resume->stop) << ")\n";
+    opts.resume = &*resume;
+  }
+  opts.cancel = install_signal_cancel();
+  opts.fault = engine::FaultPlan::from_env();
+}
+
+void set_strategy_json(witness::Json& summary, const CommonOptions& opts) {
+  summary.set("strategy", witness::Json::string(engine::strategy_name(opts)));
+  if (opts.mode == engine::Strategy::Sample) {
+    summary.set("seed", witness::Json::integer(
+                            static_cast<std::int64_t>(opts.sample.seed)));
+  }
 }
 
 int run_replay(const lang::System& sys, const CommonOptions& opts) {

@@ -11,9 +11,11 @@
 #include <charconv>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 
-#include "engine/reach.hpp"
+#include "engine/checkpoint.hpp"
+#include "engine/run.hpp"
 #include "engine/supervise.hpp"
 #include "lang/system.hpp"
 #include "witness/json.hpp"
@@ -40,47 +42,23 @@ template <typename T>
   return ec == std::errc{} && ptr == end;
 }
 
-/// The flags every tool accepts, with their shared defaults.
-struct CommonOptions {
-  std::uint64_t max_states = 1'000'000;
-  unsigned num_threads = 1;  ///< 0 = hardware concurrency
-  bool por = false;          ///< ample-set partial-order reduction
-  /// --symmetry: thread-symmetry quotient + sleep-set pruning.  Composes
-  /// with --por, --threads, budgets and --checkpoint/--resume (the
-  /// checkpoint records the setting); rejected with --strategy sample.  A
-  /// sound no-op on programs with no interchangeable threads.
-  bool symmetry = false;
-  /// --rf-quotient: execution-graph quotient — states are keyed by their
-  /// canonical reads-from/modification-order data plus per-thread progress
-  /// instead of the full concrete encoding (engine/abstraction.hpp).
-  /// Composes with --por, --threads, budgets and --checkpoint/--resume (the
-  /// checkpoint records the setting); rejected with --symmetry (v1), with
-  /// --strategy sample and under the SC model.
-  bool rf_quotient = false;
-  /// --strategy exhaustive|por|sample[:N]: how the engine covers the state
-  /// space.  `por` above and `--strategy por` are the same setting;
-  /// resolve_strategy() normalises them and rejects conflicts.
-  engine::Strategy mode = engine::Strategy::Exhaustive;
-  /// Sampling knobs: --strategy sample:N sets episodes, --seed S the seed.
-  engine::SampleOptions sample;
+/// The flags every tool accepts: the engine's run settings
+/// (engine::RunOptions — --max-states, --threads, --workers, --por,
+/// --symmetry, --rf-quotient, --strategy, --seed, --mem-budget,
+/// --deadline-ms, --checkpoint) plus the flags only the CLI layer reads.
+/// A tool hands the run settings to its checker with one assignment to the
+/// checker options' RunOptions base.
+struct CommonOptions : engine::RunOptions {
   bool seed_set = false;  ///< --seed was given (only meaningful with sample)
+  /// How many --strategy flags were given; a second one is rejected rather
+  /// than letting the later flag silently override or combine with the
+  /// first (`--strategy por` sets the same `por` as --por).
+  unsigned strategy_flags = 0;
   bool stats = false;        ///< print exploration statistics
   std::string witness_path;  ///< write first counterexample as JSON witness
   std::string replay_path;   ///< re-execute a JSON witness instead of checking
   std::string json_path;     ///< write a machine-readable run summary
-  // Resource governance (engine::Budget semantics; 0 = unlimited/none).
-  std::uint64_t max_visited_bytes = 0;  ///< --mem-budget BYTES[K|M|G]
-  std::uint64_t deadline_ms = 0;        ///< --deadline-ms MS (wall clock)
-  std::string checkpoint_path;  ///< --checkpoint FILE: save on early stop
-  std::string resume_path;      ///< --resume FILE: continue a saved run
-  /// --workers N: crash-tolerant multi-process checking (engine/supervise
-  /// .hpp) — N forked worker processes, supervised and restarted on
-  /// crash/hang/corruption.  0 (the default) stays in-process.  Verdicts and
-  /// stats are byte-identical for every N; composes with --por,
-  /// --rf-quotient, budgets and --checkpoint; rejected with --symmetry,
-  /// --strategy sample, --threads > 1 and --resume.  A run that loses a
-  /// worker for good exits 3 with a partial report (StopReason::WorkerLost).
-  unsigned workers = 0;
+  std::string resume_path;   ///< --resume FILE: continue a saved run
 };
 
 /// Usage-line fragment for the shared flags (tools append their own).
@@ -131,14 +109,23 @@ enum class FlagStatus : std::uint8_t {
 [[nodiscard]] FlagStatus parse_common_flag(int argc, char** argv, int& i,
                                            CommonOptions& out);
 
-/// Post-parse normalisation and conflict checking for the coverage-strategy
-/// flags: unifies --por with --strategy por (either spelling sets both
-/// fields) and rejects the combinations sampling cannot honour
-/// (--por + --strategy sample, --seed without sampling, and
-/// --checkpoint/--resume under sampling — a sampling run has no frontier).
-/// Returns an error message for the user, or an empty string when the
-/// options are consistent.
-[[nodiscard]] std::string resolve_strategy(CommonOptions& opts);
+/// Post-parse conflict checking for the reduction and coverage-strategy
+/// flags: rejects a repeated --strategy, mutually exclusive reductions and
+/// the combinations sampling cannot honour (a reduction + --strategy sample, --seed without
+/// sampling, and --checkpoint/--resume under sampling — a sampling run has
+/// no frontier).  Returns an error message for the user, or an empty string
+/// when the options are consistent.
+[[nodiscard]] std::string resolve_strategy(const CommonOptions& opts);
+
+/// Fills the run settings no flag carries: loads the --resume checkpoint
+/// into `resume` (narrating it) and points `opts.resume` at it, installs the
+/// SIGINT/SIGTERM cancellation token and reads RC11_FAULT.  Throws
+/// support::Error on an unreadable checkpoint.
+void arm_run(CommonOptions& opts, std::optional<engine::Checkpoint>& resume);
+
+/// Adds the run's coverage strategy ("exhaustive", "por" or "sample") and,
+/// when sampling, its seed to a --json summary.
+void set_strategy_json(witness::Json& summary, const CommonOptions& opts);
 
 /// Installs SIGINT/SIGTERM handlers that trip a process-wide
 /// engine::CancelToken and returns that token, so a Ctrl-C drains the

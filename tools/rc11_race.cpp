@@ -58,7 +58,6 @@
 #include <string>
 
 #include "cli_common.hpp"
-#include "engine/checkpoint.hpp"
 #include "parser/parser.hpp"
 #include "race/race.hpp"
 #include "witness/witness.hpp"
@@ -148,30 +147,11 @@ int main(int argc, char** argv) {
     }
 
     std::optional<engine::Checkpoint> resume;
-    if (!common.resume_path.empty()) {
-      resume = engine::load_checkpoint(common.resume_path);
-      std::cout << "resuming from " << common.resume_path << " ("
-                << resume->states.size() << " state(s), stopped: "
-                << engine::to_string(resume->stop) << ")\n";
-    }
-
+    cli::arm_run(common, resume);
     race::RaceOptions opts;
-    opts.max_states = common.max_states;
-    opts.num_threads = common.num_threads;
-    opts.por = common.por;
-    opts.symmetry = common.symmetry;
-    opts.rf_quotient = common.rf_quotient;
-    opts.mode = common.mode;
-    opts.sample = common.sample;
+    static_cast<engine::RunOptions&>(opts) = common;
     opts.stop_on_race = stop_on_race;
     opts.track_traces = !common.witness_path.empty();
-    opts.max_visited_bytes = common.max_visited_bytes;
-    opts.deadline_ms = common.deadline_ms;
-    opts.cancel = cli::install_signal_cancel();
-    opts.fault = engine::FaultPlan::from_env();
-    opts.resume = resume ? &*resume : nullptr;
-    opts.checkpoint_path = common.checkpoint_path;
-    opts.workers = common.workers;
 
     const auto t0 = std::chrono::steady_clock::now();
     const auto result = race::check(program.sys, opts);
@@ -207,13 +187,7 @@ int main(int argc, char** argv) {
       auto summary = witness::Json::object();
       summary.set("tool", witness::Json::string("rc11-race"));
       summary.set("program", witness::Json::string(path));
-      summary.set("strategy",
-                  witness::Json::string(engine::to_string(common.mode)));
-      if (common.mode == engine::Strategy::Sample) {
-        summary.set("seed",
-                    witness::Json::integer(
-                        static_cast<std::int64_t>(common.sample.seed)));
-      }
+      cli::set_strategy_json(summary, common);
       summary.set("truncated", witness::Json::boolean(result.truncated));
       summary.set("stop",
                   witness::Json::string(engine::to_string(result.stop)));

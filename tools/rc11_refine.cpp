@@ -186,12 +186,7 @@ int main(int argc, char** argv) {
     summary.set("tool", witness::Json::string("rc11-refine"));
     summary.set("abstract", witness::Json::string(abs_path));
     summary.set("concrete", witness::Json::string(conc_path));
-    summary.set("strategy",
-                witness::Json::string(engine::to_string(common.mode)));
-    if (common.mode == engine::Strategy::Sample) {
-      summary.set("seed", witness::Json::integer(
-                              static_cast<std::int64_t>(common.sample.seed)));
-    }
+    cli::set_strategy_json(summary, common);
 
     if (!trace_only) {
       const auto sim =

@@ -69,7 +69,6 @@
 #include <string>
 
 #include "cli_common.hpp"
-#include "engine/checkpoint.hpp"
 #include "og/proof_outline.hpp"
 #include "parser/parser.hpp"
 #include "witness/witness.hpp"
@@ -106,7 +105,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--all-failures") {
       opts.stop_at_first_failure = false;
     } else if (arg == "--trace") {
-      opts.track_traces = true;
+      common.track_traces = true;
     } else if (!arg.empty() && arg[0] == '-') {
       return usage();
     } else if (path.empty()) {
@@ -121,19 +120,8 @@ int main(int argc, char** argv) {
     return cli::kExitUsage;
   }
 
-  opts.max_states = common.max_states;
-  opts.num_threads = common.num_threads;
-  opts.por = common.por;
-  opts.symmetry = common.symmetry;
-  opts.rf_quotient = common.rf_quotient;
-  opts.mode = common.mode;
-  opts.sample = common.sample;
-  opts.max_visited_bytes = common.max_visited_bytes;
-  opts.deadline_ms = common.deadline_ms;
-  opts.checkpoint_path = common.checkpoint_path;
-  opts.workers = common.workers;
   if (!common.witness_path.empty()) {
-    opts.track_traces = true;  // witnesses ride on the recorded parents
+    common.track_traces = true;  // witnesses ride on the recorded parents
   }
 
   try {
@@ -142,15 +130,8 @@ int main(int argc, char** argv) {
       return cli::run_replay(program.sys, common);
     }
     std::optional<engine::Checkpoint> resume;
-    if (!common.resume_path.empty()) {
-      resume = engine::load_checkpoint(common.resume_path);
-      std::cout << "resuming from " << common.resume_path << " ("
-                << resume->states.size() << " state(s), stopped: "
-                << engine::to_string(resume->stop) << ")\n";
-    }
-    opts.resume = resume ? &*resume : nullptr;
-    opts.cancel = cli::install_signal_cancel();
-    opts.fault = engine::FaultPlan::from_env();
+    cli::arm_run(common, resume);
+    static_cast<engine::RunOptions&>(opts) = common;
     if (!program.outline) {
       std::cerr << "rc11-verify: " << path << " has no outline { ... } block\n";
       return cli::kExitUsage;
@@ -177,13 +158,7 @@ int main(int argc, char** argv) {
       auto summary = witness::Json::object();
       summary.set("tool", witness::Json::string("rc11-verify"));
       summary.set("program", witness::Json::string(path));
-      summary.set("strategy",
-                  witness::Json::string(engine::to_string(common.mode)));
-      if (common.mode == engine::Strategy::Sample) {
-        summary.set("seed",
-                    witness::Json::integer(
-                        static_cast<std::int64_t>(common.sample.seed)));
-      }
+      cli::set_strategy_json(summary, common);
       summary.set("valid", witness::Json::boolean(result.valid));
       summary.set("inconclusive",
                   witness::Json::boolean(inconclusive && result.valid));
