@@ -23,8 +23,7 @@
 #include "bench_util.hpp"
 #include "locks/clients.hpp"
 #include "locks/lock_objects.hpp"
-#include "queues/queue_objects.hpp"
-#include "stacks/stack_objects.hpp"
+#include "containers/container_objects.hpp"
 
 namespace {
 
@@ -36,27 +35,15 @@ struct Workload {
   bool expect_10x;  ///< targeted family: the >= 10x headline applies
 };
 
-/// N identical threads, each enqueue(1) then dequeue — fully interchangeable,
-/// so the quotient collapses the thread orbit (up to N! per state class).
-queues::QueueClientProgram sym_queue_client(unsigned threads) {
-  return [threads](lang::System& sys, queues::QueueObject& q) {
+/// N identical threads, each put(1) then take — fully interchangeable, so
+/// the quotient collapses the thread orbit (up to N! per state class).
+containers::ClientProgram sym_container_client(unsigned threads) {
+  return [threads](lang::System& sys, containers::ContainerObject& box) {
     for (unsigned t = 0; t < threads; ++t) {
       auto tb = sys.thread();
       auto r = tb.reg("r");
-      q.emit_enqueue(tb, lang::c(1), /*releasing=*/true);
-      q.emit_dequeue(tb, r, /*acquiring=*/true);
-    }
-  };
-}
-
-/// N identical threads, each push(1) then pop.
-stacks::StackClientProgram sym_stack_client(unsigned threads) {
-  return [threads](lang::System& sys, stacks::StackObject& s) {
-    for (unsigned t = 0; t < threads; ++t) {
-      auto tb = sys.thread();
-      auto r = tb.reg("r");
-      s.emit_push(tb, lang::c(1), /*releasing=*/true);
-      s.emit_pop(tb, r, /*acquiring=*/true);
+      box.emit_put(tb, lang::c(1), /*releasing=*/true);
+      box.emit_take(tb, r, /*acquiring=*/true);
     }
   };
 }
@@ -75,19 +62,19 @@ std::vector<Workload> workloads() {
                  false});
   }
   {
-    queues::AbstractQueue q;
+    containers::AbstractContainer q{memsem::LocKind::Queue};
     w.push_back({"sym_abstract_queue_4x",
-                 queues::instantiate(sym_queue_client(4), q), true});
+                 containers::instantiate(sym_container_client(4), q), true});
   }
   {
-    queues::LockedRingQueue q(4);
+    containers::LockedRingQueue q(4);
     w.push_back({"sym_ring_queue_3x",
-                 queues::instantiate(sym_queue_client(3), q), false});
+                 containers::instantiate(sym_container_client(3), q), false});
   }
   {
-    stacks::AbstractStack s;
+    containers::AbstractContainer s{memsem::LocKind::Stack};
     w.push_back({"sym_abstract_stack_4x",
-                 stacks::instantiate(sym_stack_client(4), s), true});
+                 containers::instantiate(sym_container_client(4), s), true});
   }
   // Control: asymmetric program — the reducer finds no interchangeable
   // threads and must pass through untouched (factor 1x, zero hits), guarding

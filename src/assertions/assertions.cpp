@@ -4,6 +4,7 @@
 #include <sstream>
 #include <utility>
 
+#include "objects/container.hpp"
 #include "support/diagnostics.hpp"
 
 namespace rc11::assertions {
@@ -312,24 +313,11 @@ Assertion lock_held_by(ThreadId t, LocId l) {
 
 // --- stack -------------------------------------------------------------------
 
-namespace {
-
-std::optional<OpId> top_of(const MemState& mem, LocId s) {
-  const auto order = mem.mo(s);
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const auto& op = mem.op(*it);
-    if (op.kind == OpKind::StackPush && !op.covered) return *it;
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
 Assertion stack_can_pop(LocId s, Value v) {
   const std::string name = support::concat("<s", s, ".pop_", v, ">");
   return Assertion{name,
                    [s, v](const System&, const Config& cfg) {
-                     const auto top = top_of(cfg.mem, s);
+                     const auto top = objects::container_next(cfg.mem, s);
                      return top && cfg.mem.op(*top).value == v;
                    },
                    ViewFootprint{}};
@@ -339,7 +327,7 @@ Assertion stack_pop_empty_only(LocId s) {
   const std::string name = support::concat("[s", s, ".pop_emp]");
   return Assertion{name,
                    [s](const System&, const Config& cfg) {
-                     return !top_of(cfg.mem, s).has_value();
+                     return objects::container_empty(cfg.mem, s);
                    },
                    ViewFootprint{}};
 }
@@ -349,7 +337,7 @@ Assertion stack_cond_obs(LocId s, Value v, LocId y, Value n) {
       support::concat("<s", s, ".pop_", v, ">[loc", y, "=", n, "]");
   return Assertion{name,
                    [s, v, y, n](const System&, const Config& cfg) {
-                     const auto top = top_of(cfg.mem, s);
+                     const auto top = objects::container_next(cfg.mem, s);
                      if (!top || cfg.mem.op(*top).value != v) return true;
                      const auto& op = cfg.mem.op(*top);
                      return op.releasing && dview_is(cfg.mem, op.mview, y, n);

@@ -65,7 +65,7 @@ struct RunOptions {
   /// outline obligations) are evaluated on the reduced state set: findings
   /// are real and findings at final/blocked states are never missed, but
   /// one confined to a pruned intermediate interleaving may be (the
-  /// RC11_POR_CROSSCHECK suite checks exact agreement on the corpus — see
+  /// PorCrosscheck suite checks exact agreement on the corpus — see
   /// docs/SEMANTICS.md §9).  The one POR setting: `--strategy por` sets it.
   bool por = false;
   /// Thread-symmetry quotient (engine/symmetry.hpp) plus sleep-set pruning:

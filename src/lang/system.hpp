@@ -44,8 +44,8 @@ enum class IKind : std::uint8_t {
   Fai,          ///< r <- FAI(x)^RA — fetch-and-increment update
   LockAcquire,  ///< abstract lock method call (blocking; returns true)
   LockRelease,  ///< abstract lock method call
-  Push,         ///< abstract stack push[^R]
-  Pop,          ///< r <- stack pop[^A] (returns kStackEmpty when empty)
+  Push,         ///< abstract container put[^R]: stack push or queue enqueue
+  Pop,          ///< r <- container take[^A] (returns kStackEmpty when empty)
   Branch,       ///< if e1 != 0 goto target
   Jump,         ///< goto target
 };
@@ -122,16 +122,12 @@ class ThreadBuilder {
   /// l.Acquire(v) notation; used by proof outlines such as Fig. 7's rl).
   ThreadBuilder& acquire_version(LocId lock, Reg r, std::string_view label = {});
   ThreadBuilder& release(LocId lock, std::string_view label = {});
-  ThreadBuilder& push(LocId stack, Expr e, std::string_view label = {});
-  ThreadBuilder& push_rel(LocId stack, Expr e, std::string_view label = {});
-  ThreadBuilder& pop(Reg r, LocId stack, std::string_view label = {});
-  ThreadBuilder& pop_acq(Reg r, LocId stack, std::string_view label = {});
-  /// Queue aliases: enqueue/dequeue reuse the Push/Pop instruction kinds and
-  /// dispatch on the location's kind at execution time.
-  ThreadBuilder& enqueue(LocId queue, Expr e, std::string_view label = {});
-  ThreadBuilder& enqueue_rel(LocId queue, Expr e, std::string_view label = {});
-  ThreadBuilder& dequeue(Reg r, LocId queue, std::string_view label = {});
-  ThreadBuilder& dequeue_acq(Reg r, LocId queue, std::string_view label = {});
+  /// Container puts and takes, on a stack or a queue alike: the location's
+  /// kind decides at execution time which entry a take consumes.
+  ThreadBuilder& push(LocId container, Expr e, std::string_view label = {});
+  ThreadBuilder& push_rel(LocId container, Expr e, std::string_view label = {});
+  ThreadBuilder& pop(Reg r, LocId container, std::string_view label = {});
+  ThreadBuilder& pop_acq(Reg r, LocId container, std::string_view label = {});
 
   // --- compound statements (Com grammar) ---
   /// if cond then then_body() else else_body().

@@ -92,9 +92,9 @@ enum class AccessKind : std::uint8_t {
          k == AccessKind::Object;
 }
 
-/// The distinguished value returned by a pop on an empty stack or a dequeue
-/// on an empty queue (Empty in the paper's [s.pop_emp] assertions).
+/// The distinguished value returned by a take on an empty container — a pop
+/// on an empty stack or a dequeue on an empty queue (Empty in the paper's
+/// [s.pop_emp] assertions).
 inline constexpr Value kStackEmpty = -1;
-inline constexpr Value kQueueEmpty = -1;
 
 }  // namespace rc11::memsem

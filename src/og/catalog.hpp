@@ -30,11 +30,12 @@ using lang::System;
 
 // --- object-registration helpers ---------------------------------------------
 //
-// Every concrete object implementation (locks, stacks, queues) repeats the
-// same two rituals: lazily registering its scratch registers the first time a
-// thread executes one of its methods, and instantiating C[O] by declaring the
-// object's locations before running the client.  Both live here, once, so the
-// object families cannot drift apart structurally.
+// Both concrete object families (locks::LockObject and
+// containers::ContainerObject) need the same two rituals: lazily registering
+// scratch registers the first time a thread executes one of an object's
+// methods, and instantiating C[O] by declaring the object's locations before
+// running the client.  Both live here, once, so the two families cannot
+// drift apart structurally.
 
 /// Per-thread lazy register registration.  `Regs` is the implementation's
 /// bundle of Library-tagged scratch registers; `get` returns the bundle for

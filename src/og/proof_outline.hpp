@@ -108,7 +108,7 @@ struct OutlineCheckResult {
 ///     deadlocks) are never missed, but an obligation violated only at a
 ///     pruned intermediate interleaving may be — POR trades the full
 ///     quantification of the Owicki–Gries side conditions for outcome-level
-///     soundness (RC11_POR_CROSSCHECK checks verdict agreement on the
+///     soundness (PorCrosscheck checks verdict agreement on the
 ///     outline corpus).
 ///   * `symmetry` stays exact: obligations are evaluated at every orbit
 ///     member of each visited representative, with the member's enabled

@@ -261,6 +261,42 @@ class Parser {
                      "'<-A' (acquire) and '<-NA' (non-atomic)");
   }
 
+  /// The object declaration keywords and the System declarers of each.
+  struct ObjectDecl {
+    std::string_view keyword;
+    LocId (System::*client)(std::string_view);
+    LocId (System::*library)(std::string_view);
+  };
+  static constexpr ObjectDecl kObjectDecls[] = {
+      {"lock", &System::client_lock, &System::library_lock},
+      {"stack", &System::client_stack, &System::library_stack},
+      {"queue", &System::client_queue, &System::library_queue},
+  };
+
+  /// The container methods and the object kind each one needs: a put takes
+  /// a value (and releases when `releasing`), a take is a read.
+  struct ContainerMethod {
+    std::string_view name;
+    LocKind kind;
+    const char* use;  ///< the kind's name in diagnostics
+    bool put;
+    bool releasing;
+  };
+  static const ContainerMethod* container_method(std::string_view name) {
+    static constexpr ContainerMethod kMethods[] = {
+        {"push", LocKind::Stack, "stack", true, false},
+        {"pushR", LocKind::Stack, "stack", true, true},
+        {"pop", LocKind::Stack, "stack", false, false},
+        {"enq", LocKind::Queue, "queue", true, false},
+        {"enqR", LocKind::Queue, "queue", true, true},
+        {"deq", LocKind::Queue, "queue", false, false},
+    };
+    for (const auto& m : kMethods) {
+      if (m.name == name) return &m;
+    }
+    return nullptr;
+  }
+
   /// Validates the order suffix of an object-method read (pop/deq), which
   /// accepts only plain and acquire.
   static bool method_acquires(const Token& op, const std::string& method) {
@@ -320,17 +356,20 @@ class Parser {
       if (peek_ident("var")) {
         lex_.take();
         parse_var_decl();
-      } else if (peek_ident("lock") || peek_ident("stack") ||
-                 peek_ident("queue")) {
-        const auto kw = lex_.take().text;
-        parse_object_decl(kw == "lock"
-                              ? LocKind::Lock
-                              : (kw == "stack" ? LocKind::Stack
-                                               : LocKind::Queue));
+      } else if (const ObjectDecl* decl = peek_object_decl()) {
+        lex_.take();
+        parse_object_decl(*decl);
       } else {
         break;
       }
     }
+  }
+
+  [[nodiscard]] const ObjectDecl* peek_object_decl() const {
+    for (const auto& decl : kObjectDecls) {
+      if (peek_ident(decl.keyword)) return &decl;
+    }
+    return nullptr;
   }
 
   memsem::Component parse_component() {
@@ -360,29 +399,14 @@ class Parser {
     out_.locations.emplace(name, loc);
   }
 
-  void parse_object_decl(LocKind kind) {
+  void parse_object_decl(const ObjectDecl& decl) {
     const auto comp = parse_component();
     const auto name = expect(Tok::Ident, "object name").text;
     check_fresh_name(name);
     expect(Tok::Semi, "';'");
-    const bool client = comp == memsem::Component::Client;
-    LocId loc = 0;
-    switch (kind) {
-      case LocKind::Lock:
-        loc = client ? out_.sys.client_lock(name) : out_.sys.library_lock(name);
-        break;
-      case LocKind::Stack:
-        loc = client ? out_.sys.client_stack(name)
-                     : out_.sys.library_stack(name);
-        break;
-      case LocKind::Queue:
-        loc = client ? out_.sys.client_queue(name)
-                     : out_.sys.library_queue(name);
-        break;
-      case LocKind::Var:
-        RC11_REQUIRE(false, "parse_object_decl on a variable kind");
-    }
-    out_.locations.emplace(name, loc);
+    const auto declare =
+        comp == memsem::Component::Client ? decl.client : decl.library;
+    out_.locations.emplace(name, (out_.sys.*declare)(name));
   }
 
   lang::Value parse_signed_literal() {
@@ -419,7 +443,7 @@ class Parser {
     const auto name = expect(Tok::Ident, "statement").text;
 
     // Object method call without destination: l.acquire(); l.release();
-    // s.push(e); s.pushR(e);
+    // s.push(e); s.pushR(e); q.enq(e); q.enqR(e);
     if (lex_.peek().kind == Tok::Dot) {
       lex_.take();
       const auto method = expect(Tok::Ident, "method name").text;
@@ -431,23 +455,15 @@ class Parser {
       } else if (method == "release") {
         expect(Tok::RParen, "')'");
         tb.release(location(name, LocKind::Lock, "lock"), name + ".release()");
-      } else if (method == "push" || method == "pushR") {
+      } else if (const auto* put = container_method(method);
+                 put != nullptr && put->put) {
         Expr value = parse_expr(tb);
         expect(Tok::RParen, "')'");
-        const auto s = location(name, LocKind::Stack, "stack");
-        if (method == "pushR") {
-          tb.push_rel(s, std::move(value), name + ".pushR");
+        const auto loc = location(name, put->kind, put->use);
+        if (put->releasing) {
+          tb.push_rel(loc, std::move(value), name + "." + method);
         } else {
-          tb.push(s, std::move(value), name + ".push");
-        }
-      } else if (method == "enq" || method == "enqR") {
-        Expr value = parse_expr(tb);
-        expect(Tok::RParen, "')'");
-        const auto q = location(name, LocKind::Queue, "queue");
-        if (method == "enqR") {
-          tb.enqueue_rel(q, std::move(value), name + ".enqR");
-        } else {
-          tb.enqueue(q, std::move(value), name + ".enq");
+          tb.push(loc, std::move(value), name + "." + method);
         }
       } else {
         lex_.error("unknown method '" + method + "'");
@@ -487,7 +503,7 @@ class Parser {
 
     // Reads and RMW/method calls with a destination register:
     //   r <- x; r <-A x; r <-NA x; r <- CAS(...); r <- FAI(x);
-    //   r <- l.acquire(); r <- s.pop(); r <-A s.pop();
+    //   r <- l.acquire(); r <- s.pop(); r <-A s.pop(); r <- q.deq(); …
     if (lex_.peek().kind == Tok::Arrow) {
       const Token op = lex_.take();
       const auto dst = reg_lookup(name);
@@ -505,19 +521,14 @@ class Parser {
           }
           tb.acquire(location(src, LocKind::Lock, "lock"), dst,
                      name + " <- " + src + ".acquire()");
-        } else if (method == "pop") {
-          const auto s = location(src, LocKind::Stack, "stack");
+        } else if (const auto* take = container_method(method);
+                   take != nullptr && !take->put) {
+          const auto loc = location(src, take->kind, take->use);
+          const auto call = src + "." + method + "()";
           if (method_acquires(op, method)) {
-            tb.pop_acq(dst, s, name + " <-A " + src + ".pop()");
+            tb.pop_acq(dst, loc, name + " <-A " + call);
           } else {
-            tb.pop(dst, s, name + " <- " + src + ".pop()");
-          }
-        } else if (method == "deq") {
-          const auto q = location(src, LocKind::Queue, "queue");
-          if (method_acquires(op, method)) {
-            tb.dequeue_acq(dst, q, name + " <-A " + src + ".deq()");
-          } else {
-            tb.dequeue(dst, q, name + " <- " + src + ".deq()");
+            tb.pop(dst, loc, name + " <- " + call);
           }
         } else {
           lex_.error("unknown method '" + method + "' in read position");

@@ -148,7 +148,7 @@ struct SimulationOptions {
   unsigned num_threads = 1;
   /// Build both state graphs with client-invisible ample-set POR (see
   /// build_graph).  Verdicts agree with the unreduced check on the
-  /// RC11_POR_CROSSCHECK corpus; default off.
+  /// PorCrosscheck corpus; default off.
   bool por = false;
   /// Resource governance, applied to *each* graph build separately (a
   /// deadline therefore bounds each phase, not the whole check); the
@@ -208,7 +208,7 @@ struct TraceInclusionOptions {
   unsigned num_threads = 1;
   /// Build both state graphs with client-invisible ample-set POR (see
   /// build_graph).  Verdicts agree with the unreduced check on the
-  /// RC11_POR_CROSSCHECK corpus; default off.
+  /// PorCrosscheck corpus; default off.
   bool por = false;
   /// Resource governance for the graph builds (per build; see
   /// SimulationOptions for the sharing semantics).

@@ -6,19 +6,19 @@
 // at one worker and at four, and that it actually reduces the targeted
 // benchmark families by >= 2x.
 //
-// Setting RC11_POR_CROSSCHECK=1 in the environment widens the comparison to
-// the complete corpus: every litmus test, every causality test, every case
-// study, every sample program and every lock-implementation/client pairing,
-// each checked for exact final-state agreement between the reduced and full
-// explorations (this is the CI "por" job's configuration).
+// The full-corpus cross-check widens the comparison to the complete corpus:
+// every litmus test, every causality test, every case study, every sample
+// program, every lock-implementation/client pairing and both FIFO
+// containers under both container clients, each checked for exact
+// final-state agreement between the reduced and full explorations.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "containers/container_objects.hpp"
 #include "explore/explorer.hpp"
 #include "litmus/case_studies.hpp"
 #include "litmus/litmus.hpp"
@@ -34,11 +34,6 @@ namespace {
 using namespace rc11;
 using explore::ExploreOptions;
 using lang::System;
-
-bool crosscheck_enabled() {
-  const char* v = std::getenv("RC11_POR_CROSSCHECK");
-  return v != nullptr && *v != '\0' && std::string(v) != "0";
-}
 
 std::vector<std::vector<std::uint64_t>> final_encodings(
     const explore::ExploreResult& result) {
@@ -234,13 +229,9 @@ TEST(Por, ReducedGraphIdenticalAcrossWorkerCounts) {
   }
 }
 
-// --- the full-corpus cross-check (RC11_POR_CROSSCHECK=1; the CI por job) ----
+// --- the full-corpus cross-check -------------------------------------------
 
 TEST(PorCrosscheck, FullCorpusAgreement) {
-  if (!crosscheck_enabled()) {
-    GTEST_SKIP() << "set RC11_POR_CROSSCHECK=1 to run the full corpus";
-  }
-
   // Every litmus + causality test (again, for completeness of the corpus
   // under one roof), every sample program, every lock implementation under
   // every client.
@@ -291,6 +282,20 @@ TEST(PorCrosscheck, FullCorpusAgreement) {
   for (const auto& client : clients) {
     for (auto* lock : lock_impls) {
       expect_por_exact(locks::instantiate(client, *lock), lock->name());
+    }
+  }
+
+  // The FIFO containers under both container clients.
+  const std::vector<containers::ClientProgram> container_clients = {
+      containers::publication_client(),
+      containers::producer_consumer_client(2),
+  };
+  containers::AbstractContainer fifo{memsem::LocKind::Queue};
+  containers::LockedRingQueue ring;
+  containers::ContainerObject* queues[] = {&fifo, &ring};
+  for (const auto& client : container_clients) {
+    for (auto* queue : queues) {
+      expect_por_exact(containers::instantiate(client, *queue), queue->name());
     }
   }
 }

@@ -13,24 +13,23 @@
 // final-configuration encodings are expected to differ from an unreduced
 // run by design.
 //
-// Setting RC11_RF_CROSSCHECK=1 in the environment widens the comparison to
-// the complete corpus: every litmus test, every causality test, every race
-// test, every case study, every sample program and every
-// lock-implementation/client pairing (this is the CI "reduction" job's
-// configuration).
+// The full-corpus cross-check widens the comparison to the complete corpus:
+// every litmus test, every causality test, every race test, every case
+// study, every sample program, every lock-implementation/client pairing and
+// both FIFO containers under both container clients.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "containers/container_objects.hpp"
 #include "engine/checkpoint.hpp"
 #include "explore/explorer.hpp"
 #include "litmus/case_studies.hpp"
@@ -50,11 +49,6 @@ using namespace rc11;
 using engine::StopReason;
 using explore::ExploreOptions;
 using lang::System;
-
-bool crosscheck_enabled() {
-  const char* v = std::getenv("RC11_RF_CROSSCHECK");
-  return v != nullptr && *v != '\0' && std::string(v) != "0";
-}
 
 /// All registers of every thread — the full outcome tuple, the semantic
 /// observable the quotient must preserve exactly.
@@ -433,13 +427,9 @@ TEST(Rf, RaceSetsExact) {
   }
 }
 
-// --- the full-corpus cross-check (RC11_RF_CROSSCHECK=1; CI reduction job) ---
+// --- the full-corpus cross-check -------------------------------------------
 
 TEST(RfCrosscheck, FullCorpusAgreement) {
-  if (!crosscheck_enabled()) {
-    GTEST_SKIP() << "set RC11_RF_CROSSCHECK=1 to run the full corpus";
-  }
-
   for (const auto& test : litmus::all_tests()) {
     expect_rf_exact(test.sys, "litmus " + test.name);
   }
@@ -493,6 +483,20 @@ TEST(RfCrosscheck, FullCorpusAgreement) {
   for (const auto& client : clients) {
     for (auto* lock : lock_impls) {
       expect_rf_exact(locks::instantiate(client, *lock), lock->name());
+    }
+  }
+
+  // The FIFO containers under both container clients.
+  const std::vector<containers::ClientProgram> container_clients = {
+      containers::publication_client(),
+      containers::producer_consumer_client(2),
+  };
+  containers::AbstractContainer fifo{memsem::LocKind::Queue};
+  containers::LockedRingQueue ring;
+  containers::ContainerObject* queues[] = {&fifo, &ring};
+  for (const auto& client : container_clients) {
+    for (auto* queue : queues) {
+      expect_rf_exact(containers::instantiate(client, *queue), queue->name());
     }
   }
 }

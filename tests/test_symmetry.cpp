@@ -10,22 +10,22 @@
 // symmetric workloads it targets.  Programs with no interchangeable threads
 // must come out bit-identical to an unreduced run (the sound-no-op claim).
 //
-// Setting RC11_SYM_CROSSCHECK=1 in the environment widens the comparison to
-// the complete corpus: every litmus test, every causality test, every case
-// study, every sample program and every lock-implementation/client pairing,
-// each checked for exact agreement between the quotiented and full
-// explorations (this is the CI "reduction" job's configuration).
+// The full-corpus cross-check widens the comparison to the complete corpus:
+// every litmus test, every causality test, every case study, every sample
+// program, every lock-implementation/client pairing and both FIFO
+// containers under both container clients, each checked for exact
+// agreement between the quotiented and full explorations.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "containers/container_objects.hpp"
 #include "engine/checkpoint.hpp"
 #include "explore/explorer.hpp"
 #include "litmus/case_studies.hpp"
@@ -44,11 +44,6 @@ using namespace rc11;
 using engine::StopReason;
 using explore::ExploreOptions;
 using lang::System;
-
-bool crosscheck_enabled() {
-  const char* v = std::getenv("RC11_SYM_CROSSCHECK");
-  return v != nullptr && *v != '\0' && std::string(v) != "0";
-}
 
 std::vector<std::vector<std::uint64_t>> final_encodings(
     const explore::ExploreResult& result) {
@@ -421,13 +416,9 @@ TEST(Symmetry, RefinementSymmetricClientShrinksProduct) {
       << "a symmetric client must actually shrink the product";
 }
 
-// --- the full-corpus cross-check (RC11_SYM_CROSSCHECK=1; CI reduction job) --
+// --- the full-corpus cross-check -------------------------------------------
 
 TEST(SymCrosscheck, FullCorpusAgreement) {
-  if (!crosscheck_enabled()) {
-    GTEST_SKIP() << "set RC11_SYM_CROSSCHECK=1 to run the full corpus";
-  }
-
   for (const auto& test : litmus::all_tests()) {
     expect_sym_exact(test.sys, "litmus " + test.name);
   }
@@ -476,6 +467,20 @@ TEST(SymCrosscheck, FullCorpusAgreement) {
   for (const auto& client : clients) {
     for (auto* lock : lock_impls) {
       expect_sym_exact(locks::instantiate(client, *lock), lock->name());
+    }
+  }
+
+  // The FIFO containers under both container clients.
+  const std::vector<containers::ClientProgram> container_clients = {
+      containers::publication_client(),
+      containers::producer_consumer_client(2),
+  };
+  containers::AbstractContainer fifo{memsem::LocKind::Queue};
+  containers::LockedRingQueue ring;
+  containers::ContainerObject* queues[] = {&fifo, &ring};
+  for (const auto& client : container_clients) {
+    for (auto* queue : queues) {
+      expect_sym_exact(containers::instantiate(client, *queue), queue->name());
     }
   }
 }

@@ -7,12 +7,12 @@
 
 #include <deque>
 
+#include "containers/container_objects.hpp"
 #include "explore/explorer.hpp"
 #include "litmus/litmus.hpp"
 #include "locks/clients.hpp"
 #include "locks/lock_objects.hpp"
 #include "memsem/validate.hpp"
-#include "stacks/stack_objects.hpp"
 
 namespace {
 
@@ -67,9 +67,9 @@ TEST(ClientInvariants, TicketLockClient) {
 }
 
 TEST(ClientInvariants, LockedVectorStackClient) {
-  stacks::LockedVectorStack stack{2};
-  validate_everywhere(
-      stacks::instantiate(stacks::producer_consumer_client(2), stack));
+  containers::LockedVectorStack stack{2};
+  validate_everywhere(containers::instantiate(
+      containers::producer_consumer_client(2), stack));
 }
 
 TEST(Validator, AcceptsInitialStates) {
