@@ -11,8 +11,8 @@
 //                   visited-set memory cap, wall-clock deadline.
 //   * StopReason  — why a run ended; replaces the old lone `truncated` bit
 //                   so callers can distinguish "state cap" from "deadline"
-//                   from "Ctrl-C" (ReachResult keeps a truncated() compat
-//                   accessor).
+//                   from "Ctrl-C" (ReachResult::stop; the checkers' results
+//                   still report a `truncated` flag derived from it).
 //   * CancelToken — cooperative cancellation: an async-signal-safe flag the
 //                   CLI layer flips from SIGINT/SIGTERM handlers; workers
 //                   poll it once per claimed state, drain, and the tools

@@ -74,9 +74,11 @@ struct ExploreStats {
   /// first visits, matching the exhaustive meaning on the covered subgraph.
   std::uint64_t episodes = 0;
   /// Arrivals folded into an already-visited canonical state via a
-  /// non-identity permutation (ReachOptions::symmetry).  A lower bound on
-  /// the states the quotient saved: each hit is a concrete state a
-  /// non-symmetric run would have visited separately.
+  /// non-identity permutation (ReachOptions::symmetry), counted at a
+  /// state's first expansion only — a sleep-mask revisit re-derives
+  /// arrivals already counted.  A lower bound on the states the quotient
+  /// saved: each hit is a concrete state a non-symmetric run would have
+  /// visited separately.
   std::uint64_t symmetry_hits = 0;
   /// Successor steps skipped because their acting thread was asleep
   /// (ReachOptions::sleep_sets) — transitions pruned, never states: every
@@ -191,8 +193,6 @@ struct ReachResult {
   /// veto (stopping was the visitor's decision, not resource exhaustion);
   /// every other value means the enumeration is partial.
   StopReason stop = StopReason::Complete;
-  /// Compat accessor for the historic `truncated` flag.
-  [[nodiscard]] bool truncated() const { return stop != StopReason::Complete; }
 };
 
 /// The driver's per-state expansion policy — POR ample set, local fusion, or

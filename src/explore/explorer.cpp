@@ -223,7 +223,7 @@ ExploreResult explore(const System& sys, const ExploreOptions& options,
   ExploreResult result;
   result.stats = reach.stats;
   result.stop = reach.stop;
-  result.truncated = reach.truncated();
+  result.truncated = reach.stop != engine::StopReason::Complete;
   result.dist = reach.telemetry;
   // Exactly one of the two halves ran.
   const bool supervised = options.workers > 0;

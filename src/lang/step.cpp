@@ -280,12 +280,14 @@ void append_thread_successors(const System& sys, const Config& cfg, ThreadId t,
       break;
     }
     case IKind::Pop: {
-      const bool empty = objects::container_empty(cfg.mem, in.loc);
-      add_step(out, sys, cfg, t, in, want_labels, empty ? " (empty)" : "",
+      // One scan of the container serves the label and the take: `next`
+      // starts as a copy of `cfg`, so the put's id is valid there too.
+      const auto put = objects::container_next(cfg.mem, in.loc);
+      add_step(out, sys, cfg, t, in, want_labels, put ? "" : " (empty)",
                [&](Config& next) {
                  const bool acq = in.order == memsem::MemOrder::Acquire;
                  next.regs[t][in.dst] =
-                     objects::container_take(next.mem, t, in.loc, acq);
+                     objects::container_take(next.mem, t, in.loc, put, acq);
                });
       break;
     }

@@ -45,13 +45,18 @@ OpId container_put(MemState& mem, ThreadId t, LocId container, Value v,
 }
 
 Value container_take(MemState& mem, ThreadId t, LocId container,
-                     bool acquiring) {
-  const auto next = container_next(mem, container);
+                     std::optional<OpId> next, bool acquiring) {
   if (!next) return kStackEmpty;
   const Value v = mem.op(*next).value;
   const bool sync = acquiring && mem.op(*next).releasing;
   mem.consume(t, container, *next, sync);
   return v;
+}
+
+Value container_take(MemState& mem, ThreadId t, LocId container,
+                     bool acquiring) {
+  return container_take(mem, t, container, container_next(mem, container),
+                        acquiring);
 }
 
 std::size_t container_size(const MemState& mem, LocId container) {

@@ -52,9 +52,14 @@ using memsem::Value;
 OpId container_put(MemState& mem, ThreadId t, LocId container, Value v,
                    bool releasing);
 
-/// Takes: consumes container_next() and returns its value, synchronising
-/// when the take acquires and the put releases; returns kStackEmpty on an
-/// empty container (state unchanged).
+/// Takes: consumes the put `next` — container_next() of this state, found
+/// by the caller — and returns its value, synchronising when the take
+/// acquires and the put releases; returns kStackEmpty when `next` is empty
+/// (state unchanged).
+Value container_take(MemState& mem, ThreadId t, LocId container,
+                     std::optional<OpId> next, bool acquiring);
+
+/// container_take of container_next().
 Value container_take(MemState& mem, ThreadId t, LocId container,
                      bool acquiring);
 

@@ -273,7 +273,7 @@ RaceResult check(const System& sys, const RaceOptions& options) {
   RaceResult result;
   result.stats = reach.stats;
   result.stop = reach.stop;
-  result.truncated = reach.truncated();
+  result.truncated = reach.stop != engine::StopReason::Complete;
   result.dist = reach.telemetry;
   // Exactly one of the two halves ran.
   auto& found = options.workers > 0 ? delegate.races : races;

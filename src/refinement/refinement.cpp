@@ -102,7 +102,7 @@ StateGraph build_graph(const System& sys, const GraphOptions& options) {
         return true;
       });
   graph.stop = reach.stop;
-  graph.truncated = reach.truncated();
+  graph.truncated = reach.stop != engine::StopReason::Complete;
 
   std::sort(collected.begin(), collected.end(),
             [](const Keyed& a, const Keyed& b) { return a.enc < b.enc; });

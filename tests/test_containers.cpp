@@ -404,6 +404,13 @@ struct Overflow {
   std::uint64_t concrete_states;
 };
 
+// Without a printer gtest names each case by its raw bytes, padding after
+// `kind` included, so the listed name changed from run to run.
+void PrintTo(const Overflow& p, std::ostream* os) {
+  *os << (p.kind == LocKind::Stack ? "stack" : "queue") << ", " << p.puts
+      << " puts";
+}
+
 class OverCapacity : public ::testing::TestWithParam<Overflow> {};
 
 TEST_P(OverCapacity, SimulationFails) {

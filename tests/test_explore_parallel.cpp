@@ -9,13 +9,16 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "engine/reach.hpp"
 #include "engine/sharded_visited.hpp"
 #include "explore/explorer.hpp"
 #include "litmus/litmus.hpp"
@@ -131,6 +134,98 @@ TEST(ParallelExplore, BfsStrategyMatchesToo) {
   const auto parallel = explore::explore(program.sys, opts);
   EXPECT_EQ(parallel.stats.states, baseline.stats.states);
   EXPECT_EQ(final_encodings(parallel), final_encodings(baseline));
+}
+
+// Every path through the in-process driver reaches the same states at every
+// worker count: plain, traced, POR with and without a trace sink, each
+// quotient with sleep sets, sleep sets alone, and BFS.  A quotient visits
+// one member of each class, and which one depends on the schedule, so
+// finals are compared by the path's abstract key.  The counters that depend
+// on which arrival wins a race (por_chained under a trace sink, sleep skips,
+// symmetry hits, rf merges) are left out.
+struct DriverPath {
+  const char* name;
+  bool traced = false;
+  bool por = false;
+  bool symmetry = false;
+  bool rf_quotient = false;
+  bool sleep = false;
+  bool bfs = false;
+};
+
+const DriverPath kDriverPaths[] = {
+    {.name = "plain"},
+    {.name = "traced", .traced = true},
+    {.name = "por", .por = true},
+    {.name = "por+traced", .traced = true, .por = true},
+    {.name = "symmetry+sleep", .symmetry = true, .sleep = true},
+    {.name = "rf_quotient+sleep", .rf_quotient = true, .sleep = true},
+    {.name = "sleep", .sleep = true},
+    {.name = "bfs", .bfs = true},
+};
+
+struct DriverRun {
+  engine::ExploreStats stats;
+  std::vector<std::vector<std::uint64_t>> finals;  ///< sorted abstract keys
+};
+
+DriverRun run_driver(const System& sys, const DriverPath& path,
+                     unsigned workers) {
+  engine::ReachOptions opts;
+  opts.num_threads = workers;
+  opts.por = path.por;
+  opts.symmetry = path.symmetry;
+  opts.rf_quotient = path.rf_quotient;
+  opts.sleep_sets = path.sleep;
+  opts.strategy =
+      path.bfs ? engine::SearchStrategy::Bfs : engine::SearchStrategy::Dfs;
+  std::optional<engine::ShardedVisitedSet> sink;
+  if (path.traced) opts.trace = &sink.emplace();
+  const std::unique_ptr<engine::StateAbstraction> abs =
+      path.symmetry      ? engine::make_symmetry_abstraction(sys)
+      : path.rf_quotient ? engine::make_rf_quotient_abstraction(sys, {})
+                         : engine::make_concrete_abstraction();
+  DriverRun run;
+  std::mutex mu;
+  engine::AbstractKey key;
+  const auto result = engine::visit_reachable(
+      sys, opts,
+      [&](const Config& cfg, std::uint64_t,
+          std::span<const lang::Step> steps) {
+        if (steps.empty() && cfg.all_done(sys)) {
+          const std::lock_guard<std::mutex> lock(mu);
+          abs->key(cfg, key);
+          run.finals.push_back(key.encoding);
+        }
+        return true;
+      });
+  EXPECT_EQ(result.stop, engine::StopReason::Complete);
+  run.stats = result.stats;
+  std::sort(run.finals.begin(), run.finals.end());
+  return run;
+}
+
+TEST(ParallelExplore, EveryDriverPathMatchesSequential) {
+  std::vector<std::string> names(std::begin(kPrograms), std::end(kPrograms));
+  names.emplace_back("ticket_worker.rc11");
+  for (const auto& name : names) {
+    SCOPED_TRACE(name);
+    const auto program = parser::parse_file(prog(name));
+    for (const DriverPath& path : kDriverPaths) {
+      SCOPED_TRACE(path.name);
+      const DriverRun baseline = run_driver(program.sys, path, 1);
+      for (const unsigned workers : {2U, 8U}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers));
+        const DriverRun run = run_driver(program.sys, path, workers);
+        EXPECT_EQ(run.stats.states, baseline.stats.states);
+        EXPECT_EQ(run.stats.transitions, baseline.stats.transitions);
+        EXPECT_EQ(run.stats.finals, baseline.stats.finals);
+        EXPECT_EQ(run.stats.blocked, baseline.stats.blocked);
+        EXPECT_EQ(run.stats.por_reduced, baseline.stats.por_reduced);
+        EXPECT_EQ(run.finals, baseline.finals);
+      }
+    }
+  }
 }
 
 // An invariant that fires somewhere in the middle of the state space: the
