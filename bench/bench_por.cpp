@@ -11,8 +11,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <chrono>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -53,20 +51,6 @@ std::vector<Workload> workloads() {
   return w;
 }
 
-double timed_explore(const lang::System& sys,
-                     const explore::ExploreOptions& opts,
-                     explore::ExploreResult& result) {
-  result = explore::explore(sys, opts);  // warm-up
-  double best_s = 1e9;
-  for (int i = 0; i < 3; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    result = explore::explore(sys, opts);
-    const auto t1 = std::chrono::steady_clock::now();
-    best_s = std::min(best_s, std::chrono::duration<double>(t1 - t0).count());
-  }
-  return best_s;
-}
-
 bool finals_equal(const explore::ExploreResult& a,
                   const explore::ExploreResult& b) {
   if (a.final_configs.size() != b.final_configs.size()) return false;
@@ -85,8 +69,8 @@ void report_por(rc11::bench::JsonReport& json) {
     por_opts.por = true;
 
     explore::ExploreResult full, reduced;
-    const double full_s = timed_explore(sys, full_opts, full);
-    const double por_s = timed_explore(sys, por_opts, reduced);
+    const double full_s = rc11::bench::timed_explore(sys, full_opts, full);
+    const double por_s = rc11::bench::timed_explore(sys, por_opts, reduced);
 
     const double factor = static_cast<double>(full.stats.states) /
                           static_cast<double>(reduced.stats.states);

@@ -32,7 +32,6 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <chrono>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -110,20 +109,6 @@ std::vector<Workload> workloads() {
   return w;
 }
 
-double timed_explore(const lang::System& sys,
-                     const explore::ExploreOptions& opts,
-                     explore::ExploreResult& result) {
-  result = explore::explore(sys, opts);  // warm-up
-  double best_s = 1e9;
-  for (int i = 0; i < 3; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    result = explore::explore(sys, opts);
-    const auto t1 = std::chrono::steady_clock::now();
-    best_s = std::min(best_s, std::chrono::duration<double>(t1 - t0).count());
-  }
-  return best_s;
-}
-
 /// All registers of every thread, in declaration order — the outcome tuple.
 std::vector<lang::Reg> all_regs(const lang::System& sys) {
   std::vector<lang::Reg> regs;
@@ -145,9 +130,9 @@ void report_rf(rc11::bench::JsonReport& json) {
     rf_opts.rf_quotient = true;
 
     explore::ExploreResult por_res, sym_res, rf_res;
-    const double por_s = timed_explore(sys, por_opts, por_res);
-    const double sym_s = timed_explore(sys, sym_opts, sym_res);
-    const double rf_s = timed_explore(sys, rf_opts, rf_res);
+    const double por_s = rc11::bench::timed_explore(sys, por_opts, por_res);
+    const double sym_s = rc11::bench::timed_explore(sys, sym_opts, sym_res);
+    const double rf_s = rc11::bench::timed_explore(sys, rf_opts, rf_res);
 
     const auto best = std::min(por_res.stats.states, sym_res.stats.states);
     const double factor = static_cast<double>(best) /

@@ -4,6 +4,8 @@
 
 #pragma once
 
+#include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -111,6 +113,28 @@ inline explore::ExploreResult run_litmus(const std::string& exp,
           test.name + ": outcomes " + outcomes_to_string(outcomes) +
               " expected " + outcomes_to_string(test.allowed));
   return result;
+}
+
+/// Best-of-3 wall-clock seconds of one explore(sys, opts), leaving the last
+/// run's result in `result`.  Each sample times enough back-to-back runs to
+/// span at least 2 ms (the batch doubles until it does, which also warms
+/// caches), so a case of a few dozen states is timed over thousands of runs
+/// rather than within timer and scheduling noise.
+inline double timed_explore(const lang::System& sys,
+                            const explore::ExploreOptions& opts,
+                            explore::ExploreResult& result) {
+  using Clock = std::chrono::steady_clock;
+  constexpr double kMinSampleS = 2e-3;
+  const auto batch_s = [&](int runs) {
+    const auto t0 = Clock::now();
+    for (int i = 0; i < runs; ++i) result = explore::explore(sys, opts);
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+  };
+  int runs = 1;
+  while (batch_s(runs) < kMinSampleS) runs *= 2;
+  double best_s = 1e9;
+  for (int i = 0; i < 3; ++i) best_s = std::min(best_s, batch_s(runs) / runs);
+  return best_s;
 }
 
 }  // namespace rc11::bench

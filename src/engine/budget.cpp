@@ -29,6 +29,30 @@ const char* to_string(StopReason reason) noexcept {
   return "unknown";
 }
 
+const char* describe_stop(StopReason reason) noexcept {
+  switch (reason) {
+    case StopReason::Complete:
+      return "the state space was exhausted";
+    case StopReason::StateCap:
+      return "the state cap was reached (raise --max-states)";
+    case StopReason::MemCap:
+      return "the visited-set memory budget was exhausted (raise --mem-budget)";
+    case StopReason::Deadline:
+      return "the wall-clock deadline expired (raise --deadline-ms)";
+    case StopReason::Interrupted:
+      return "the run was interrupted (SIGINT/SIGTERM)";
+    case StopReason::InjectedFault:
+      return "an injected fault stopped the run (RC11_FAULT)";
+    case StopReason::EpisodeCap:
+      return "the sampling episode budget ran out (raise --strategy "
+             "sample:N or vary --seed)";
+    case StopReason::WorkerLost:
+      return "a worker process was lost for good (retry budget exhausted; "
+             "raise RC11_DIST_RETRIES or rerun with --workers 1)";
+  }
+  return "unknown stop reason";
+}
+
 StopReason stop_reason_from_string(std::string_view name) {
   for (StopReason r :
        {StopReason::Complete, StopReason::StateCap, StopReason::MemCap,

@@ -69,6 +69,12 @@ enum class StopReason : std::uint8_t {
 /// Parses a to_string name back; throws support::Error on unknown input.
 [[nodiscard]] StopReason stop_reason_from_string(std::string_view name);
 
+/// Human-readable phrase for why a run stopped, with the flag to raise,
+/// e.g. "the state cap was reached (raise --max-states)".  The one wording
+/// of a stop reason: the tools' INCONCLUSIVE lines and the refinement
+/// checkers' truncation diagnoses both use it.
+[[nodiscard]] const char* describe_stop(StopReason reason) noexcept;
+
 /// The exploration limits.  max_states keeps its historic default; the two
 /// new dimensions default to "unlimited" (0) so existing callers are
 /// unaffected.

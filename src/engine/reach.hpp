@@ -67,6 +67,10 @@ struct ExploreStats {
   /// Deterministic local steps fast-forwarded by chain collapse — each one a
   /// state that exists in the full graph but was never visited here.
   /// Non-zero only under por with a chain-collapsing transition system.
+  /// Schedule-dependent under sleep sets (symmetry or rf_quotient) with
+  /// num_threads > 1, like sleep_set_skips: store_fan under por + symmetry
+  /// at 4 threads read 4227, 4598, 4393, 4304 while states and transitions
+  /// stayed put.
   std::uint64_t por_chained = 0;
   /// Episodes completed under Strategy::Sample (0 otherwise).  Under
   /// sampling, `states` is the *coverage estimate* — distinct states the
@@ -82,7 +86,10 @@ struct ExploreStats {
   std::uint64_t symmetry_hits = 0;
   /// Successor steps skipped because their acting thread was asleep
   /// (ReachOptions::sleep_sets) — transitions pruned, never states: every
-  /// reachable state is still visited exactly once.
+  /// reachable state is still visited exactly once.  Schedule-dependent
+  /// with num_threads > 1: the sleep mask a state is first expanded with
+  /// depends on which arrival claims it (store_fan under por + symmetry at
+  /// 4 threads: 99647, 99307, 99180, 99585).
   std::uint64_t sleep_set_skips = 0;
   /// Concrete states folded into an already-visited execution-graph class
   /// (ReachOptions::rf_quotient): arrivals whose concrete encoding was new

@@ -100,14 +100,7 @@ std::optional<ThreadId> SystemTransitions::ample_thread(const Config& cfg) const
 }
 
 std::optional<ThreadId> SystemTransitions::fusible_thread(const Config& cfg) const {
-  for (ThreadId t = 0; t < sys_->num_threads(); ++t) {
-    if (cfg.thread_done(*sys_, t)) continue;
-    const auto kind = sys_->code(t)[cfg.pc[t]].kind;
-    if (kind == IKind::Assign || kind == IKind::Branch || kind == IKind::Jump) {
-      return t;
-    }
-  }
-  return std::nullopt;
+  return lang::fusible_thread(*sys_, cfg);
 }
 
 }  // namespace rc11::engine

@@ -23,8 +23,7 @@ struct DotOptions {
 };
 
 /// Renders a state graph to DOT.  Build the graph with
-/// refinement::build_graph(sys, max_states, /*want_labels=*/true) if edge
-/// labels are wanted.
+/// GraphOptions::want_labels set if edge labels are wanted.
 [[nodiscard]] std::string to_dot(const lang::System& sys,
                                  const refinement::StateGraph& graph,
                                  const DotOptions& options = {});

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -178,5 +179,12 @@ void successors(const System& sys, const Config& cfg, StepBuffer& out,
                 bool want_labels = false);
 void thread_successors(const System& sys, const Config& cfg, ThreadId t,
                        StepBuffer& out, bool want_labels = false);
+
+/// The lowest-numbered thread whose next instruction is local — Assign,
+/// Branch or Jump: deterministic, no memory effect — or nullopt.  Expanding
+/// only that thread is the local-step fusion reduction
+/// (ExploreOptions::fuse_local_steps, witness minimisation).
+[[nodiscard]] std::optional<ThreadId> fusible_thread(const System& sys,
+                                                     const Config& cfg);
 
 }  // namespace rc11::lang

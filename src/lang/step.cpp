@@ -345,4 +345,15 @@ std::vector<Step> successors(const System& sys, const Config& cfg,
   return drain(buf);
 }
 
+std::optional<ThreadId> fusible_thread(const System& sys, const Config& cfg) {
+  for (ThreadId t = 0; t < sys.num_threads(); ++t) {
+    if (cfg.thread_done(sys, t)) continue;
+    const auto kind = sys.code(t)[cfg.pc[t]].kind;
+    if (kind == IKind::Assign || kind == IKind::Branch || kind == IKind::Jump) {
+      return t;
+    }
+  }
+  return std::nullopt;
+}
+
 }  // namespace rc11::lang

@@ -71,6 +71,20 @@ StateGraph build_graph(const System& sys, const GraphOptions& options) {
   // POR-reduced) relation phase 1 explored — and resolves them against the
   // sorted encoding index by binary search: purely read-only lookups, so no
   // locking is needed.
+  support::require(options.workers == 0,
+                   "--workers is not supported here (supervised "
+                   "multi-process checking covers rc11-run, rc11-verify and "
+                   "rc11-race)");
+  support::require(!options.rf_quotient,
+                   "--rf-quotient is not supported here (the refinement "
+                   "checkers compare client projections across two systems, "
+                   "which the execution-graph quotient does not relate); use "
+                   "--por or --symmetry to shrink the graphs instead");
+  support::require(options.checkpoint_path.empty() && options.resume == nullptr,
+                   "--checkpoint/--resume are not supported here (a "
+                   "refinement check builds two state graphs per run, so a "
+                   "single checkpoint file is ambiguous); use --deadline-ms / "
+                   "--mem-budget to bound the run instead");
   StateGraph graph;
   const engine::SystemTransitions ts(sys, engine::AmplePolicy::ClientInvisible);
   const bool want_labels = options.want_labels;
@@ -83,9 +97,8 @@ StateGraph build_graph(const System& sys, const GraphOptions& options) {
   std::vector<Keyed> collected;
   std::mutex mu;
   engine::ReachOptions ropts;
-  ropts.budget.max_states = options.max_states;
-  ropts.budget.max_visited_bytes = options.max_visited_bytes;
-  ropts.budget.deadline_ms = options.deadline_ms;
+  ropts.budget = {options.max_states, options.max_visited_bytes,
+                  options.deadline_ms};
   ropts.num_threads = num_threads;
   ropts.por = options.por;
   ropts.mode = options.mode;
@@ -102,7 +115,6 @@ StateGraph build_graph(const System& sys, const GraphOptions& options) {
         return true;
       });
   graph.stop = reach.stop;
-  graph.truncated = reach.stop != engine::StopReason::Complete;
 
   std::sort(collected.begin(), collected.end(),
             [](const Keyed& a, const Keyed& b) { return a.enc < b.enc; });
@@ -157,115 +169,81 @@ StateGraph build_graph(const System& sys, const GraphOptions& options) {
   return graph;
 }
 
-StateGraph build_graph(const System& sys, std::uint64_t max_states,
-                       bool want_labels, unsigned num_threads, bool por) {
-  GraphOptions options;
-  options.max_states = max_states;
-  options.want_labels = want_labels;
-  options.num_threads = num_threads;
-  options.por = por;
-  return build_graph(sys, options);
-}
-
 namespace {
 
-/// Diagnosis for an incomplete graph build: says *which* graph (abstract vs
-/// concrete) stopped on *which* bound, with the matching remedy — sourced
-/// from StopReason instead of the old generic "state graph truncated".
-std::string truncation_diagnosis(const StateGraph& abs, const StateGraph& conc) {
-  const auto describe = [](const char* which,
-                           engine::StopReason stop) -> std::string {
-    const char* hint = nullptr;
-    switch (stop) {
-      case engine::StopReason::Complete:
-        return {};
-      case engine::StopReason::StateCap:
-        hint = "hit the state cap; increase max_states";
-        break;
-      case engine::StopReason::MemCap:
-        hint = "hit the memory budget; raise --mem-budget";
-        break;
-      case engine::StopReason::Deadline:
-        hint = "hit the deadline; raise --deadline-ms";
-        break;
-      case engine::StopReason::Interrupted:
-        hint = "was interrupted before completing";
-        break;
-      case engine::StopReason::InjectedFault:
-        hint = "stopped on an injected fault (RC11_FAULT)";
-        break;
-      case engine::StopReason::EpisodeCap:
-        hint =
-            "is a sampled subgraph (episode budget exhausted); coverage is a "
-            "lower bound — raise --strategy sample:N for more episodes";
-        break;
-      case engine::StopReason::WorkerLost:
-        hint =
-            "lost a worker process for good (supervised run); rerun "
-            "single-process or raise RC11_DIST_RETRIES";
-        break;
-    }
-    return support::concat(which, " state graph ", hint);
-  };
-  std::string msg = describe("abstract", abs.stop);
-  const std::string conc_msg = describe("concrete", conc.stop);
-  if (!msg.empty() && !conc_msg.empty()) msg += "; ";
-  return msg + conc_msg;
+/// Why a graph pair cannot decide: which graph (abstract vs concrete)
+/// stopped, on which bound, in engine::describe_stop's words.
+std::string truncation_diagnosis(const GraphPair& pair) {
+  std::string msg;
+  for (const auto& [which, graph] :
+       {std::pair{"abstract", &pair.abstract_graph},
+        std::pair{"concrete", &pair.concrete_graph}}) {
+    if (graph->stop == engine::StopReason::Complete) continue;
+    msg += support::concat(msg.empty() ? "" : "; ", which, " state graph: ",
+                           engine::describe_stop(graph->stop));
+  }
+  return msg;
 }
 
-/// Forwards the shared resource-governance knobs of the two checker option
-/// structs into a GraphOptions.  `apply_sampling` gates the coverage mode:
-/// only the concrete graph is ever sampled — the abstract graph is the
-/// specification, and a sampled (incomplete) spec would manufacture false
-/// violations, so the abstract build always enumerates exhaustively.
-template <typename CheckOptions>
-GraphOptions graph_options(const CheckOptions& options, bool want_labels,
-                           bool apply_sampling) {
-  GraphOptions gopts;
-  gopts.max_states = options.max_states;
-  gopts.want_labels = want_labels;
-  gopts.num_threads = options.num_threads;
-  gopts.por = options.por;
-  gopts.max_visited_bytes = options.max_visited_bytes;
-  gopts.deadline_ms = options.deadline_ms;
-  gopts.cancel = options.cancel;
-  gopts.fault = options.fault;
-  if (apply_sampling) {
-    gopts.mode = options.mode;
-    gopts.sample = options.sample;
-  }
-  return gopts;
+/// A sampled concrete graph against a complete abstract one: the one
+/// incomplete pair the trace-inclusion game can still refute on.
+bool sampled_concrete(const GraphPair& pair) {
+  return pair.abstract_graph.stop == engine::StopReason::Complete &&
+         pair.concrete_graph.stop == engine::StopReason::EpisodeCap;
+}
+
+bool complete(const GraphPair& pair) {
+  return pair.abstract_graph.stop == engine::StopReason::Complete &&
+         pair.concrete_graph.stop == engine::StopReason::Complete;
 }
 
 }  // namespace
 
-SimulationResult check_forward_simulation(const System& abstract_sys,
-                                          const System& concrete_sys,
-                                          const SimulationOptions& options) {
-  SimulationResult result;
-  const StateGraph abs = build_graph(
-      abstract_sys,
-      graph_options(options, /*want_labels=*/false, /*apply_sampling=*/false));
-  const StateGraph conc = build_graph(
-      concrete_sys,
-      graph_options(options, /*want_labels=*/true, /*apply_sampling=*/true));
-  result.abstract_states = abs.num_states();
-  result.concrete_states = conc.num_states();
-  result.truncated = abs.truncated || conc.truncated;
-  if (result.truncated) {
-    result.diagnosis = truncation_diagnosis(abs, conc);
-    return result;
-  }
+GraphPair build_graph_pair(const System& abstract_sys,
+                           const System& concrete_sys,
+                           const engine::RunOptions& options) {
+  GraphPair pair;
+  pair.abstract_sys = &abstract_sys;
+  pair.concrete_sys = &concrete_sys;
+  GraphOptions gopts;
+  static_cast<engine::RunOptions&>(gopts) = options;
+  gopts.mode = engine::Strategy::Exhaustive;
+  pair.abstract_graph = build_graph(abstract_sys, gopts);
+  gopts.mode = options.mode;
+  gopts.want_labels = true;
+  pair.concrete_graph = build_graph(concrete_sys, gopts);
+  if (!complete(pair) && !sampled_concrete(pair)) return pair;
 
   // Project every state once (embarrassingly parallel: one slot per state).
-  std::vector<ClientProjection> abs_proj(abs.num_states());
-  support::parallel_for(abs.num_states(), options.num_threads, [&](std::size_t i) {
-    abs_proj[i] = project_client(abstract_sys, abs.states[i]);
-  });
-  std::vector<ClientProjection> conc_proj(conc.num_states());
-  support::parallel_for(conc.num_states(), options.num_threads, [&](std::size_t i) {
-    conc_proj[i] = project_client(concrete_sys, conc.states[i]);
-  });
+  const auto project = [&options](const System& sys, const StateGraph& g,
+                                  std::vector<ClientProjection>& out) {
+    out.resize(g.num_states());
+    support::parallel_for(g.num_states(), options.num_threads,
+                          [&](std::size_t i) {
+                            out[i] = project_client(sys, g.states[i]);
+                          });
+  };
+  project(abstract_sys, pair.abstract_graph, pair.abstract_proj);
+  project(concrete_sys, pair.concrete_graph, pair.concrete_proj);
+  return pair;
+}
+
+SimulationResult check_forward_simulation(const GraphPair& pair) {
+  const StateGraph& abs = pair.abstract_graph;
+  const StateGraph& conc = pair.concrete_graph;
+  const auto& abs_proj = pair.abstract_proj;
+  const auto& conc_proj = pair.concrete_proj;
+  SimulationResult result;
+  result.abstract_states = abs.num_states();
+  result.concrete_states = conc.num_states();
+  if (!complete(pair)) {
+    // The fixpoint needs every concrete edge (missing ones would let pairs
+    // survive vacuously), so no incomplete pair — sampled included — decides.
+    result.holds = true;
+    result.truncated = true;
+    result.diagnosis = truncation_diagnosis(pair);
+    return result;
+  }
 
   // Group abstract states by the exact-match part so candidate generation is
   // linear in matching states rather than quadratic overall.
@@ -396,7 +374,7 @@ SimulationResult check_forward_simulation(const System& abstract_sys,
         // concrete_sys into the diverging state (the sentinel note above is
         // commentary, not a step, so it only appears in `counterexample`).
         w.what = result.diagnosis;
-        w.state_dump = conc.states[final_c].to_string(concrete_sys);
+        w.state_dump = conc.states[final_c].to_string(*pair.concrete_sys);
         result.witness = std::move(w);
       }
     }
@@ -404,43 +382,39 @@ SimulationResult check_forward_simulation(const System& abstract_sys,
   return result;
 }
 
-TraceInclusionResult check_trace_inclusion(const System& abstract_sys,
-                                           const System& concrete_sys,
-                                           const TraceInclusionOptions& options) {
-  TraceInclusionResult result;
-  const StateGraph abs = build_graph(
-      abstract_sys,
-      graph_options(options, /*want_labels=*/false, /*apply_sampling=*/false));
-  // The concrete graph carries labels and threads so an unmatchable step can
-  // be reported as a replayable run, not just a state dump.
-  const StateGraph conc = build_graph(
-      concrete_sys,
-      graph_options(options, /*want_labels=*/true, /*apply_sampling=*/true));
-  // A sampled concrete graph (EpisodeCap) still plays the game: every
-  // covered concrete state and edge is a real execution and the abstract
-  // graph is complete, so an empty match set found below is a *definite*
-  // refinement violation.  The result stays marked truncated — "no
-  // violation" on a sample is a lower bound, never a proof.  Any other
-  // truncation (either graph) leaves the game meaningless, as before.
-  const bool sampled_concrete =
-      conc.truncated && conc.stop == engine::StopReason::EpisodeCap;
-  if (abs.truncated || (conc.truncated && !sampled_concrete)) {
-    result.truncated = true;
-    result.what = truncation_diagnosis(abs, conc);
-    return result;
-  }
-  result.truncated = sampled_concrete;
-  // Pre-seed the diagnosis; a found violation overwrites it with specifics.
-  if (sampled_concrete) result.what = truncation_diagnosis(abs, conc);
+SimulationResult check_forward_simulation(const System& abstract_sys,
+                                          const System& concrete_sys,
+                                          const SimulationOptions& options) {
+  support::require(!options.symmetry,
+                   "--symmetry is not supported by the Def. 8 simulation "
+                   "check (its fixpoint is not quotiented); the "
+                   "trace-inclusion game supports it");
+  return check_forward_simulation(
+      build_graph_pair(abstract_sys, concrete_sys, options));
+}
 
-  std::vector<ClientProjection> abs_proj(abs.num_states());
-  support::parallel_for(abs.num_states(), options.num_threads, [&](std::size_t i) {
-    abs_proj[i] = project_client(abstract_sys, abs.states[i]);
-  });
-  std::vector<ClientProjection> conc_proj(conc.num_states());
-  support::parallel_for(conc.num_states(), options.num_threads, [&](std::size_t i) {
-    conc_proj[i] = project_client(concrete_sys, conc.states[i]);
-  });
+TraceInclusionResult check_trace_inclusion(const GraphPair& pair,
+                                           const TraceInclusionOptions& options) {
+  const System& abstract_sys = *pair.abstract_sys;
+  const System& concrete_sys = *pair.concrete_sys;
+  const StateGraph& abs = pair.abstract_graph;
+  const StateGraph& conc = pair.concrete_graph;
+  const auto& abs_proj = pair.abstract_proj;
+  const auto& conc_proj = pair.concrete_proj;
+  TraceInclusionResult result;
+  // A sampled concrete graph still plays the game: every covered concrete
+  // state and edge is a real execution and the abstract graph is complete,
+  // so an empty match set found below is a *definite* refinement violation.
+  // The result stays marked truncated — "no violation" on a sample is a
+  // lower bound, never a proof.  Any other incomplete pair leaves the game
+  // meaningless.
+  const bool sampled = sampled_concrete(pair);
+  if (!complete(pair)) {
+    result.holds = true;
+    result.truncated = true;
+    result.what = truncation_diagnosis(pair);
+    if (!sampled) return result;
+  }
 
   // Thread-symmetry quotient of the product (see TraceInclusionOptions):
   // enumerate the shared permutation group and precompute, per permutation,
@@ -449,7 +423,7 @@ TraceInclusionResult check_trace_inclusion(const System& abstract_sys,
   // complete graph every image is present by equivariance).
   std::vector<engine::ThreadPerm> perms;  // non-identity group elements
   std::vector<std::vector<std::uint32_t>> abs_maps, conc_maps;  // per perm
-  if (options.symmetry && !sampled_concrete) {
+  if (options.symmetry && !sampled) {
     const engine::SymmetryReducer abs_red(abstract_sys);
     const engine::SymmetryReducer conc_red(concrete_sys);
     if (abs_red.symmetric() && conc_red.symmetric() &&
@@ -577,6 +551,7 @@ TraceInclusionResult check_trace_inclusion(const System& abstract_sys,
       init.match.push_back(abs.initial);
     }
     if (init.match.empty()) {
+      result.holds = false;
       result.what = "initial concrete state refines no abstract state";
       return result;
     }
@@ -588,7 +563,9 @@ TraceInclusionResult check_trace_inclusion(const System& abstract_sys,
   while (!work.empty()) {
     if (result.product_nodes >= options.max_product_nodes) {
       result.truncated = true;
-      result.what = "product exploration truncated";
+      result.what = support::concat("the product-node bound (",
+                                    options.max_product_nodes,
+                                    ") was reached");
       break;
     }
     const std::size_t node_idx = work.front();
@@ -634,6 +611,13 @@ TraceInclusionResult check_trace_inclusion(const System& abstract_sys,
     }
   }
   return result;
+}
+
+TraceInclusionResult check_trace_inclusion(const System& abstract_sys,
+                                           const System& concrete_sys,
+                                           const TraceInclusionOptions& options) {
+  return check_trace_inclusion(
+      build_graph_pair(abstract_sys, concrete_sys, options), options);
 }
 
 }  // namespace rc11::refinement

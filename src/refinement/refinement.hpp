@@ -23,6 +23,13 @@
 //
 // A bounded trace-inclusion checker for Definitions 6/7 (stutter-free client
 // traces) doubles as an independent oracle on small instances.
+//
+// Both checkers run over one GraphPair (build_graph_pair) and share the
+// verdict contract of og::OutlineCheckResult::valid: `holds == false` only
+// for a definite refutation — over a complete graph pair, or a witnessed
+// violation on a sampled concrete graph.  A check on incomplete graphs (or
+// past its own bound) that finds nothing reports holds == true,
+// truncated == true: inconclusive, never a proof.
 
 #pragma once
 
@@ -32,7 +39,7 @@
 #include <vector>
 
 #include "engine/budget.hpp"
-#include "engine/sample.hpp"
+#include "engine/run.hpp"
 #include "lang/config.hpp"
 #include "witness/witness.hpp"
 
@@ -78,7 +85,6 @@ struct StateGraph {
   /// Why the build's exploration ended; anything but Complete means the
   /// graph is missing states and downstream verdicts are unreliable.
   engine::StopReason stop = engine::StopReason::Complete;
-  bool truncated = false;  ///< stop != Complete (compat mirror)
 
   [[nodiscard]] std::size_t num_states() const { return states.size(); }
   [[nodiscard]] std::size_t num_edges() const {
@@ -88,15 +94,22 @@ struct StateGraph {
   }
 };
 
-/// Builds the full reachable graph (up to max_states).  With want_labels,
-/// edges carry step descriptions (costs time and memory; used for
-/// counterexample reporting and DOT export).
+/// One graph build's options: the run settings plus edge labels (step
+/// descriptions and acting threads, for counterexamples and DOT export).
+/// The build honours the budgets, num_threads, por, mode/sample, cancel and
+/// fault, and rejects workers, rf_quotient, checkpoint_path and resume with
+/// a support::Error.  It never quotients the graph: `symmetry` is read only
+/// by check_trace_inclusion's product.
+struct GraphOptions : engine::RunOptions {
+  bool want_labels = false;
+};
+
+/// Builds the reachable graph of `sys` (up to max_states).
 ///
-/// num_threads follows the explore::ExploreOptions convention (1 sequential,
-/// 0 hardware concurrency).  The build runs in two phases for every thread
-/// count — collect all reachable states through the shared reachability
-/// driver, then resolve every state's successor edges against the index —
-/// and numbers states by canonical encoding, so the resulting graph is
+/// The build runs in two phases for every thread count —
+/// collect all reachable states through the shared reachability driver,
+/// then resolve every state's successor edges against the index — and
+/// numbers states by canonical encoding, so the resulting graph is
 /// *identical for every thread count*.
 ///
 /// With `por`, both phases use the ClientInvisible ample policy of
@@ -107,81 +120,57 @@ struct StateGraph {
 /// Reduced here means only projection-invisible steps are ever pruned, which
 /// preserves the stutter-closed projection traces the refinement checkers
 /// compare (docs/SEMANTICS.md §9).
-struct GraphOptions {
-  std::uint64_t max_states = 1'000'000;
-  bool want_labels = false;
-  unsigned num_threads = 1;
-  bool por = false;
-  /// Resource governance (same semantics as explore::ExploreOptions):
-  /// exceeding a budget stops the build with the matching StateGraph::stop.
-  /// Checkpoint/resume is not offered for graph builds — refinement checks
-  /// build two graphs per run, so a single checkpoint file is ambiguous.
-  std::uint64_t max_visited_bytes = 0;  ///< bytes; 0 = unlimited
-  std::uint64_t deadline_ms = 0;        ///< wall clock; 0 = none
-  const engine::CancelToken* cancel = nullptr;
-  engine::FaultPlan fault;
-  /// Coverage mode (engine/sample.hpp).  Under Strategy::Sample phase 1
-  /// collects the states seeded random episodes cross and phase 2 resolves
-  /// edges within that subset (edges to uncollected states are dropped —
-  /// the same rule every truncated build already follows).  Every state and
-  /// edge of a sampled graph is real; the graph is marked truncated
-  /// (StopReason::EpisodeCap) because it may be missing states.
-  engine::Strategy mode = engine::Strategy::Exhaustive;
-  /// Tuning for mode == Strategy::Sample; ignored otherwise.
-  engine::SampleOptions sample;
+///
+/// Under Strategy::Sample phase 1 collects the states seeded random
+/// episodes cross and phase 2 resolves edges within that subset (edges to
+/// uncollected states are dropped — the same rule every truncated build
+/// follows).  Every state and edge of a sampled graph is real; its stop is
+/// StopReason::EpisodeCap because it may be missing states.
+[[nodiscard]] StateGraph build_graph(const System& sys,
+                                     const GraphOptions& options = {});
+
+/// Both state graphs of a refinement check plus every state's client
+/// projection, built once for both checkers.  Points at the two systems,
+/// so it must not outlive them.
+struct GraphPair {
+  const System* abstract_sys = nullptr;
+  const System* concrete_sys = nullptr;
+  /// The specification: exhaustive (a sampled spec would manufacture false
+  /// violations) and unlabelled.
+  StateGraph abstract_graph;
+  StateGraph concrete_graph;  ///< labelled; the only graph ever sampled
+  /// Parallel to the graphs' states; empty when the pair cannot decide (an
+  /// incomplete abstract graph, or a concrete one cut short by anything but
+  /// the sampling budget).
+  std::vector<ClientProjection> abstract_proj;
+  std::vector<ClientProjection> concrete_proj;
 };
 
-[[nodiscard]] StateGraph build_graph(const System& sys,
-                                     const GraphOptions& options);
+/// Builds the pair, the abstract graph first.  Budgets bound each build
+/// separately; the cancellation token is shared, so one Ctrl-C stops
+/// whichever build runs.  Projections run on num_threads workers.
+[[nodiscard]] GraphPair build_graph_pair(const System& abstract_sys,
+                                         const System& concrete_sys,
+                                         const engine::RunOptions& options);
 
-/// Positional compat overload (historic signature).
-[[nodiscard]] StateGraph build_graph(const System& sys,
-                                     std::uint64_t max_states = 1'000'000,
-                                     bool want_labels = false,
-                                     unsigned num_threads = 1,
-                                     bool por = false);
-
-struct SimulationOptions {
-  std::uint64_t max_states = 1'000'000;  ///< per system
-  /// Workers for graph construction and client projection (the fixpoint
-  /// itself stays sequential); same convention as ExploreOptions.
-  unsigned num_threads = 1;
-  /// Build both state graphs with client-invisible ample-set POR (see
-  /// build_graph).  Verdicts agree with the unreduced check on the
-  /// PorCrosscheck corpus; default off.
-  bool por = false;
-  /// Resource governance, applied to *each* graph build separately (a
-  /// deadline therefore bounds each phase, not the whole check); the
-  /// cancellation token is shared, so one Ctrl-C stops whichever phase is
-  /// running.
-  std::uint64_t max_visited_bytes = 0;  ///< bytes per graph; 0 = unlimited
-  std::uint64_t deadline_ms = 0;        ///< wall clock per graph; 0 = none
-  const engine::CancelToken* cancel = nullptr;
-  engine::FaultPlan fault;
-  /// Coverage mode.  Under Strategy::Sample only the *concrete* graph is
-  /// sampled — the abstract graph is the specification and must be complete
-  /// for the game to be meaningful.  The simulation fixpoint needs the full
-  /// concrete edge relation (missing edges would make pairs survive
-  /// vacuously), so a sampled simulation check always reports truncated with
-  /// a diagnosis; use check_trace_inclusion for definite sampled verdicts.
-  engine::Strategy mode = engine::Strategy::Exhaustive;
-  engine::SampleOptions sample;  ///< tuning for Sample; ignored otherwise
-  // Thread-symmetry reduction is deliberately *not* offered here: the
-  // simulation fixpoint iterates over candidate pairs of the full graphs
-  // and quotienting it would change which pairs the diagnosis chain can
-  // cite.  rc11-refine rejects --symmetry for the simulation check and
-  // points at the trace-inclusion game, which supports it.
-};
+/// The Def. 8 simulation check's options: the run settings only.  The
+/// fixpoint needs the full concrete edge relation (missing edges would let
+/// pairs survive vacuously), so a sampled check is always inconclusive.
+/// `symmetry` is rejected: quotienting the fixpoint would change which
+/// pairs the diagnosis chain can cite.
+struct SimulationOptions : engine::RunOptions {};
 
 struct SimulationResult {
   bool holds = false;
-  bool truncated = false;  ///< a graph hit its bound: outcome unreliable
+  bool truncated = false;  ///< a graph stopped early: holds is inconclusive
   std::uint64_t abstract_states = 0;
   std::uint64_t concrete_states = 0;
   std::uint64_t candidate_pairs = 0;
   std::uint64_t surviving_pairs = 0;
   std::uint64_t refinement_iterations = 0;
-  std::string diagnosis;  ///< human-readable failure hint
+  /// Human-readable failure hint, or why a truncated check could not
+  /// decide.
+  std::string diagnosis;
   /// On failure: step labels of a shortest concrete run into a state no
   /// abstract state can be paired with (empty if the failure is only due to
   /// cyclic matching constraints rather than a dead state).
@@ -194,57 +183,49 @@ struct SimulationResult {
 
 /// Decides whether a Definition 8 forward simulation exists between
 /// `abstract_sys` (the client using AO) and `concrete_sys` (the same client
-/// using CO).  `holds == true` establishes C[AO] ⊑ C[CO] for this client
-/// (Theorem 8.1).
+/// using CO).  `holds == true` on a complete pair establishes
+/// C[AO] ⊑ C[CO] for this client (Theorem 8.1).
+[[nodiscard]] SimulationResult check_forward_simulation(const GraphPair& pair);
+
+/// build_graph_pair, then the check above.  Throws support::Error under
+/// `symmetry`.
 [[nodiscard]] SimulationResult check_forward_simulation(
     const System& abstract_sys, const System& concrete_sys,
     const SimulationOptions& options = {});
 
-struct TraceInclusionOptions {
-  std::uint64_t max_states = 200'000;       ///< per state graph
+/// The trace-inclusion game's options: the run settings plus the product
+/// bound.  Under Strategy::Sample only the *concrete* graph is sampled and
+/// the game runs over the covered concrete subgraph: every sampled concrete
+/// run is a real execution, so a refinement violation found this way is
+/// *definite* — holds == false with a replayable witness — while "no
+/// violation" stays inconclusive (truncated == true, a lower bound).
+///
+/// `symmetry` quotients the *product* construction: when both systems have
+/// identical interchangeable-thread classes (engine::SymmetryReducer),
+/// product nodes (concrete state, abstract match set) are deduplicated
+/// modulo simultaneous thread permutation of both sides.  Client
+/// projections permute covariantly, so refinement of a node and of its
+/// permuted image coincide and an empty match set is reachable in the
+/// quotient iff it is in the full product — verdicts and witnesses are
+/// unchanged, only product_nodes shrinks (arena nodes stay concrete, so
+/// counterexample runs replay as before).  A sound no-op when either system
+/// has no interchangeable threads or the classes differ; ignored under a
+/// sampled concrete graph (the permuted image of a sampled state need not
+/// be covered).  Composes with `por` under the same corpus-crosschecked
+/// caveat as por itself.
+struct TraceInclusionOptions : engine::RunOptions {
   std::uint64_t max_product_nodes = 500'000;  ///< subset-construction bound
-  /// Workers for graph construction and client projection (the subset
-  /// construction stays sequential); same convention as ExploreOptions.
-  unsigned num_threads = 1;
-  /// Build both state graphs with client-invisible ample-set POR (see
-  /// build_graph).  Verdicts agree with the unreduced check on the
-  /// PorCrosscheck corpus; default off.
-  bool por = false;
-  /// Resource governance for the graph builds (per build; see
-  /// SimulationOptions for the sharing semantics).
-  std::uint64_t max_visited_bytes = 0;  ///< bytes per graph; 0 = unlimited
-  std::uint64_t deadline_ms = 0;        ///< wall clock per graph; 0 = none
-  const engine::CancelToken* cancel = nullptr;
-  engine::FaultPlan fault;
-  /// Coverage mode.  Under Strategy::Sample only the *concrete* graph is
-  /// sampled (the abstract side is the specification and stays complete) and
-  /// the game runs over the covered concrete subgraph: every sampled
-  /// concrete run is a real execution, so a refinement violation found this
-  /// way is *definite* — holds == false with a replayable witness — while
-  /// "no violation" stays inconclusive (truncated == true, a lower bound).
-  engine::Strategy mode = engine::Strategy::Exhaustive;
-  engine::SampleOptions sample;  ///< tuning for Sample; ignored otherwise
-  /// Thread-symmetry quotient of the *product* construction: when both
-  /// systems have identical interchangeable-thread classes
-  /// (engine::SymmetryReducer), product nodes (concrete state, abstract
-  /// match set) are deduplicated modulo simultaneous thread permutation of
-  /// both sides.  Client projections permute covariantly, so refinement of
-  /// a node and of its permuted image coincide and an empty match set is
-  /// reachable in the quotient iff it is in the full product — verdicts and
-  /// witnesses are unchanged, only product_nodes shrinks (arena nodes stay
-  /// concrete, so counterexample runs replay as before).  A sound no-op
-  /// when either system has no interchangeable threads or the classes
-  /// differ; ignored under a sampled concrete graph (the permuted image of
-  /// a sampled state need not be covered).  Composes with `por` under the
-  /// same corpus-crosschecked caveat as por itself.  Default off.
-  bool symmetry = false;
 };
 
 struct TraceInclusionResult {
   bool holds = false;
+  /// A graph stopped early, the concrete graph is a sample, or the product
+  /// bound was hit: holds == true is then a lower bound, not a proof.
   bool truncated = false;
   std::uint64_t product_nodes = 0;  ///< (concrete state, abstract set) nodes
-  std::string what;  ///< description of an unmatchable concrete step
+  /// Description of an unmatchable concrete step, or why a truncated game
+  /// could not decide.
+  std::string what;
   /// Replayable concrete run ending in the unmatchable step (validate with
   /// witness::replay against concrete_sys).  Present iff holds is false and
   /// the game reached a genuinely unmatchable step (not on truncation).
@@ -259,6 +240,10 @@ struct TraceInclusionResult {
 /// step is reported as the witness.  This is the direct (game) form of
 /// Definition 6; check_forward_simulation is the paper's sufficient
 /// condition (Def. 8 / Thm. 8.1) and implies it.
+[[nodiscard]] TraceInclusionResult check_trace_inclusion(
+    const GraphPair& pair, const TraceInclusionOptions& options = {});
+
+/// build_graph_pair, then the game above.
 [[nodiscard]] TraceInclusionResult check_trace_inclusion(
     const System& abstract_sys, const System& concrete_sys,
     const TraceInclusionOptions& options = {});

@@ -177,32 +177,6 @@ ReplayResult replay(const lang::System& sys, const Witness& w) {
 
 namespace {
 
-/// True iff thread t's next instruction is local (deterministic, no memory
-/// effect): the fuse_local_steps reduction used by minimize().  Mirrors the
-/// explorer's reduction; kept here so witness does not depend on explore.
-bool next_instr_is_local(const lang::System& sys, const lang::Config& cfg,
-                         lang::ThreadId t) {
-  const auto& code = sys.code(t);
-  if (cfg.pc[t] >= code.size()) return false;
-  switch (code[cfg.pc[t]].kind) {
-    case lang::IKind::Assign:
-    case lang::IKind::Branch:
-    case lang::IKind::Jump:
-      return true;
-    default:
-      return false;
-  }
-}
-
-/// First thread whose next instruction is local, or nullopt.
-std::optional<lang::ThreadId> fusible_thread(const lang::System& sys,
-                                             const lang::Config& cfg) {
-  for (lang::ThreadId t = 0; t < sys.num_threads(); ++t) {
-    if (next_instr_is_local(sys, cfg, t)) return t;
-  }
-  return std::nullopt;
-}
-
 /// BFS for a shortest path from the initial configuration to `target_digest`,
 /// expanding only states whose digest is in `touched` (the subgraph induced
 /// by the witness's own states).  When `fuse` is set, states with an enabled
@@ -243,7 +217,7 @@ std::optional<std::vector<WitnessStep>> restricted_bfs(
     // Copy: nodes may reallocate while we push successors.
     const lang::Config cur = nodes[idx].cfg;
     const std::optional<lang::ThreadId> fused =
-        fuse ? fusible_thread(sys, cur) : std::nullopt;
+        fuse ? lang::fusible_thread(sys, cur) : std::nullopt;
     const std::vector<lang::Step> succs =
         fused ? lang::thread_successors(sys, cur, *fused, /*want_labels=*/true)
               : lang::successors(sys, cur, /*want_labels=*/true);

@@ -95,6 +95,32 @@ TEST(Cli, RefineRejectsBrokenPair) {
   EXPECT_NE(out.find("DOES NOT REFINE"), std::string::npos);
 }
 
+// A refining pair whose graphs are cut short is inconclusive (exit 3), never
+// refuted; --json reports refines: true, inconclusive: true as rc11-verify's
+// valid/inconclusive do.
+TEST(Cli, RefineTruncatedPairIsInconclusive) {
+  const std::string pair = " " + prog("lock_client_abstract.rc11") + " " +
+                           prog("lock_client_seqlock.rc11");
+  const std::string json = tmp_path("refine_truncated.json");
+  std::string out;
+  EXPECT_EQ(run(bin("rc11-refine") + " --max-states 10 --json " + json + pair,
+                &out),
+            3);
+  EXPECT_NE(out.find("INCONCLUSIVE"), std::string::npos) << out;
+  EXPECT_NE(out.find("state cap"), std::string::npos) << out;
+  EXPECT_EQ(out.find("DOES NOT REFINE"), std::string::npos) << out;
+  const std::string summary = read_file(json);
+  EXPECT_NE(summary.find("\"refines\": true"), std::string::npos) << summary;
+  EXPECT_NE(summary.find("\"inconclusive\": true"), std::string::npos)
+      << summary;
+  unlink(json.c_str());
+
+  EXPECT_EQ(run(bin("rc11-refine") + " --mem-budget 64" + pair, &out), 3);
+  EXPECT_NE(out.find("memory budget"), std::string::npos) << out;
+  EXPECT_EQ(run(bin("rc11-refine") + " --trace-only --max-states 10" + pair),
+            3);
+}
+
 TEST(Cli, TicketLockSampleSerialises) {
   std::string out;
   EXPECT_EQ(run(bin("rc11-run") + " " + prog("ticket_lock.rc11"), &out), 0);

@@ -59,8 +59,10 @@ TEST(DotExport, StateGraphUsesEscapedMultiLineCaptions) {
 var x = 0;
 thread t1 { reg r1; r1 <- x; }
 )");
-  const auto graph = refinement::build_graph(program.sys, 1'000,
-                                             /*want_labels=*/true);
+  refinement::GraphOptions opts;
+  opts.max_states = 1'000;
+  opts.want_labels = true;
+  const auto graph = refinement::build_graph(program.sys, opts);
   const auto dot = explore::to_dot(program.sys, graph);
   EXPECT_NE(dot.find("digraph"), std::string::npos);
   EXPECT_NE(dot.find("->"), std::string::npos);

@@ -279,8 +279,10 @@ TEST(Explorer, BfsAndDfsVisitTheSameStates) {
 
 TEST(DotExport, ProducesWellFormedGraph) {
   auto t = litmus::mp_release_acquire();
-  const auto graph =
-      refinement::build_graph(t.sys, 100000, /*want_labels=*/true);
+  refinement::GraphOptions opts;
+  opts.max_states = 100'000;
+  opts.want_labels = true;
+  const auto graph = refinement::build_graph(t.sys, opts);
   const auto dot = explore::to_dot(t.sys, graph);
   EXPECT_NE(dot.find("digraph rc11 {"), std::string::npos);
   EXPECT_NE(dot.find("s0"), std::string::npos);
@@ -298,7 +300,10 @@ TEST(DotExport, EscapesQuotes) {
   const auto x = sys.client_var("x", 0);
   auto t0 = sys.thread();
   t0.store(x, lang::c(1), "say \"hi\"");
-  const auto graph = refinement::build_graph(sys, 1000, true);
+  refinement::GraphOptions opts;
+  opts.max_states = 1000;
+  opts.want_labels = true;
+  const auto graph = refinement::build_graph(sys, opts);
   const auto dot = explore::to_dot(sys, graph);
   EXPECT_EQ(dot.find("\"hi\""), std::string::npos)
       << "raw quotes must not appear unescaped";

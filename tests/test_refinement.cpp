@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/checkpoint.hpp"
 #include "explore/explorer.hpp"
 #include "locks/clients.hpp"
 #include "locks/lock_objects.hpp"
+#include "parser/parser.hpp"
 #include "refinement/refinement.hpp"
+#include "support/diagnostics.hpp"
 
 namespace {
 
@@ -24,6 +27,7 @@ using locks::instantiate;
 using locks::SeqLock;
 using locks::TicketLock;
 using refinement::build_graph;
+using refinement::build_graph_pair;
 using refinement::check_forward_simulation;
 using refinement::check_trace_inclusion;
 using refinement::client_refines;
@@ -103,15 +107,17 @@ TEST(StateGraph, MatchesExplorerStateCount) {
   const auto result = explore::explore(sys);
   EXPECT_EQ(graph.num_states(), result.stats.states);
   EXPECT_EQ(graph.num_edges(), result.stats.transitions);
-  EXPECT_FALSE(graph.truncated);
+  EXPECT_EQ(graph.stop, engine::StopReason::Complete);
 }
 
 TEST(StateGraph, TruncationFlag) {
   locks::ClientArtifacts art;
   SeqLock lock;
   const auto sys = instantiate(locks::fig7_client(&art), lock);
-  const auto graph = build_graph(sys, /*max_states=*/10);
-  EXPECT_TRUE(graph.truncated);
+  refinement::GraphOptions opts;
+  opts.max_states = 10;
+  const auto graph = build_graph(sys, opts);
+  EXPECT_EQ(graph.stop, engine::StopReason::StateCap);
 }
 
 // --- Propositions 9 and 10 ------------------------------------------------------
@@ -313,10 +319,200 @@ TEST(Diagnostics, GraphLabelsOnDemand) {
   t0.store(x, c(1), "x := 1");
   const auto unlabelled = build_graph(sys);
   EXPECT_TRUE(unlabelled.labels.empty());
-  const auto labelled = build_graph(sys, 1000, /*want_labels=*/true);
+  refinement::GraphOptions opts;
+  opts.want_labels = true;
+  const auto labelled = build_graph(sys, opts);
   ASSERT_EQ(labelled.labels.size(), labelled.num_states());
   ASSERT_FALSE(labelled.labels[0].empty());
   EXPECT_NE(labelled.labels[0][0].find("x := 1"), std::string::npos);
+}
+
+// --- one graph pair per check ------------------------------------------------
+
+std::string prog(const std::string& name) {
+  return std::string(RC11_SRC_DIR) + "/tools/programs/" + name;
+}
+
+struct RefinementCase {
+  std::string name;
+  System abstract_sys;
+  System concrete_sys;
+};
+
+/// Every abstract/concrete pair the refinement tests and tools check: the
+/// lock implementations (correct and broken) under the fig. 7 and
+/// most-general clients, and the sample programs rc11-refine is run on.
+std::vector<RefinementCase> refinement_corpus() {
+  std::vector<RefinementCase> corpus;
+  const std::vector<std::pair<std::string, std::function<ClientProgram()>>>
+      clients = {{"fig7", [] { return locks::fig7_client(); }},
+                 {"mgc", [] { return locks::mgc_client(2, 1); }}};
+  const std::vector<
+      std::pair<std::string, std::function<std::unique_ptr<locks::LockObject>()>>>
+      impls = {
+          {"seqlock", [] { return std::make_unique<SeqLock>(); }},
+          {"ticketlock", [] { return std::make_unique<TicketLock>(); }},
+          {"cas-spinlock", [] { return std::make_unique<CasSpinLock>(); }},
+          {"ttas-lock", [] { return std::make_unique<locks::TTASLock>(); }},
+          {"seqlock-broken", [] { return std::make_unique<SeqLock>(false); }},
+          {"ticketlock-broken",
+           [] { return std::make_unique<TicketLock>(false); }},
+      };
+  for (const auto& [client_name, client] : clients) {
+    for (const auto& [impl_name, make] : impls) {
+      AbstractLock abs;
+      auto conc = make();
+      corpus.push_back({client_name + "/" + impl_name,
+                        instantiate(client(), abs),
+                        instantiate(client(), *conc)});
+    }
+  }
+  const auto abs = parser::parse_file(prog("lock_client_abstract.rc11"));
+  for (const char* conc : {"lock_client_seqlock.rc11",
+                           "lock_client_broken.rc11"}) {
+    corpus.push_back({conc, abs.sys, parser::parse_file(prog(conc)).sys});
+  }
+  return corpus;
+}
+
+std::vector<std::uint64_t> witness_digests(
+    const std::optional<witness::Witness>& w) {
+  std::vector<std::uint64_t> out;
+  if (!w) return out;
+  for (const auto& step : w->steps) out.push_back(step.after_digest);
+  return out;
+}
+
+// The pair forms, with the pair built on 1 and 4 workers, agree with the
+// sequential system-pair forms field by field.
+TEST(GraphPair, PairAndSystemFormsAgreeOnCorpus) {
+  for (const auto& c : refinement_corpus()) {
+    for (const bool por : {false, true}) {
+      refinement::TraceInclusionOptions opts;
+      opts.por = por;
+      refinement::SimulationOptions sim_opts;
+      sim_opts.por = por;
+      const auto sim_ref =
+          check_forward_simulation(c.abstract_sys, c.concrete_sys, sim_opts);
+      const auto tr_ref =
+          check_trace_inclusion(c.abstract_sys, c.concrete_sys, opts);
+      EXPECT_FALSE(sim_ref.truncated) << c.name;
+      EXPECT_FALSE(tr_ref.truncated) << c.name;
+      // Def. 8 implies Def. 6, so a holding simulation forces inclusion.
+      EXPECT_TRUE(!sim_ref.holds || tr_ref.holds) << c.name;
+
+      for (const unsigned threads : {1U, 4U}) {
+        opts.num_threads = threads;
+        const auto pair =
+            build_graph_pair(c.abstract_sys, c.concrete_sys, opts);
+        const std::string what = c.name + (por ? " por" : "") + " threads " +
+                                 std::to_string(threads);
+        const auto sim = check_forward_simulation(pair);
+        EXPECT_EQ(sim.holds, sim_ref.holds) << what;
+        EXPECT_EQ(sim.truncated, sim_ref.truncated) << what;
+        EXPECT_EQ(sim.abstract_states, sim_ref.abstract_states) << what;
+        EXPECT_EQ(sim.concrete_states, sim_ref.concrete_states) << what;
+        EXPECT_EQ(sim.candidate_pairs, sim_ref.candidate_pairs) << what;
+        EXPECT_EQ(sim.surviving_pairs, sim_ref.surviving_pairs) << what;
+        EXPECT_EQ(sim.diagnosis, sim_ref.diagnosis) << what;
+        EXPECT_EQ(sim.counterexample, sim_ref.counterexample) << what;
+        EXPECT_EQ(witness_digests(sim.witness),
+                  witness_digests(sim_ref.witness))
+            << what;
+
+        const auto tr = check_trace_inclusion(pair, opts);
+        EXPECT_EQ(tr.holds, tr_ref.holds) << what;
+        EXPECT_EQ(tr.truncated, tr_ref.truncated) << what;
+        EXPECT_EQ(tr.product_nodes, tr_ref.product_nodes) << what;
+        EXPECT_EQ(tr.what, tr_ref.what) << what;
+        EXPECT_EQ(witness_digests(tr.witness), witness_digests(tr_ref.witness))
+            << what;
+      }
+    }
+  }
+}
+
+TEST(GraphPair, AbstractExhaustiveConcreteLabelledAndSampled) {
+  const auto abs = parser::parse_file(prog("lock_client_abstract.rc11"));
+  const auto conc = parser::parse_file(prog("lock_client_seqlock.rc11"));
+  engine::RunOptions opts;
+  opts.mode = engine::Strategy::Sample;
+  opts.sample.episodes = 50;
+  const auto pair = build_graph_pair(abs.sys, conc.sys, opts);
+  EXPECT_EQ(pair.abstract_graph.stop, engine::StopReason::Complete);
+  EXPECT_TRUE(pair.abstract_graph.labels.empty());
+  EXPECT_EQ(pair.concrete_graph.stop, engine::StopReason::EpisodeCap);
+  EXPECT_EQ(pair.concrete_graph.labels.size(), pair.concrete_graph.num_states());
+  EXPECT_EQ(pair.abstract_proj.size(), pair.abstract_graph.num_states());
+  EXPECT_EQ(pair.concrete_proj.size(), pair.concrete_graph.num_states());
+}
+
+// A run cut short must never refute: with a 10-state cap both checkers
+// report an inconclusive pass and no witness, on a refining pair and on a
+// broken one alike.
+TEST(GraphPair, TruncatedChecksAreInconclusiveNotRefuted) {
+  AbstractLock abs;
+  const auto abs_sys = instantiate(locks::fig7_client(), abs);
+  SeqLock good;
+  SeqLock broken{/*releasing_release=*/false};
+  for (const auto& conc_sys : {instantiate(locks::fig7_client(), good),
+                               instantiate(locks::fig7_client(), broken)}) {
+    refinement::SimulationOptions sim_opts;
+    sim_opts.max_states = 10;
+    const auto sim = check_forward_simulation(abs_sys, conc_sys, sim_opts);
+    EXPECT_TRUE(sim.holds);
+    EXPECT_TRUE(sim.truncated);
+    EXPECT_FALSE(sim.witness.has_value());
+    EXPECT_TRUE(sim.counterexample.empty());
+    EXPECT_NE(sim.diagnosis.find("state cap"), std::string::npos)
+        << sim.diagnosis;
+
+    refinement::TraceInclusionOptions tr_opts;
+    tr_opts.max_states = 10;
+    const auto tr = check_trace_inclusion(abs_sys, conc_sys, tr_opts);
+    EXPECT_TRUE(tr.holds);
+    EXPECT_TRUE(tr.truncated);
+    EXPECT_FALSE(tr.witness.has_value());
+    EXPECT_NE(tr.what.find("state cap"), std::string::npos) << tr.what;
+  }
+}
+
+TEST(GraphPair, RejectsSettingsRefinementCannotHonour) {
+  AbstractLock abs;
+  const auto abs_sys = instantiate(locks::fig7_client(), abs);
+  SeqLock conc;
+  const auto conc_sys = instantiate(locks::fig7_client(), conc);
+  const auto rejected = [&](const engine::RunOptions& opts,
+                            const std::string& flag) {
+    try {
+      (void)build_graph_pair(abs_sys, conc_sys, opts);
+    } catch (const support::Error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(flag, 0), 0u) << e.what();
+      return;
+    }
+    ADD_FAILURE() << flag << " was not rejected";
+  };
+  engine::RunOptions workers;
+  workers.workers = 2;
+  rejected(workers, "--workers");
+  engine::RunOptions rf;
+  rf.rf_quotient = true;
+  rejected(rf, "--rf-quotient");
+  engine::RunOptions checkpoint;
+  checkpoint.checkpoint_path = "refine.ckpt.json";
+  rejected(checkpoint, "--checkpoint/--resume");
+  const engine::Checkpoint saved;
+  engine::RunOptions resume;
+  resume.resume = &saved;
+  rejected(resume, "--checkpoint/--resume");
+
+  refinement::SimulationOptions sym;
+  sym.symmetry = true;
+  EXPECT_THROW((void)check_forward_simulation(abs_sys, conc_sys, sym),
+               support::Error);
+  refinement::TraceInclusionOptions tr_sym;
+  tr_sym.symmetry = true;
+  EXPECT_TRUE(check_trace_inclusion(abs_sys, conc_sys, tr_sym).holds);
 }
 
 }  // namespace

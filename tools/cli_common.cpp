@@ -64,30 +64,6 @@ bool parse_bytes(const std::string& s, std::uint64_t& out) {
   return true;
 }
 
-std::string describe_stop(engine::StopReason stop) {
-  switch (stop) {
-    case engine::StopReason::Complete:
-      return "the state space was exhausted";
-    case engine::StopReason::StateCap:
-      return "the state cap was reached (raise --max-states)";
-    case engine::StopReason::MemCap:
-      return "the visited-set memory budget was exhausted (raise --mem-budget)";
-    case engine::StopReason::Deadline:
-      return "the wall-clock deadline expired (raise --deadline-ms)";
-    case engine::StopReason::Interrupted:
-      return "the run was interrupted (SIGINT/SIGTERM)";
-    case engine::StopReason::InjectedFault:
-      return "an injected fault stopped the run (RC11_FAULT)";
-    case engine::StopReason::EpisodeCap:
-      return "the sampling episode budget ran out (raise --strategy "
-             "sample:N or vary --seed)";
-    case engine::StopReason::WorkerLost:
-      return "a worker process was lost for good (retry budget exhausted; "
-             "raise RC11_DIST_RETRIES or rerun with --workers 1)";
-  }
-  return "unknown stop reason";
-}
-
 FlagStatus parse_common_flag(int argc, char** argv, int& i,
                              CommonOptions& out) {
   const std::string arg = argv[i];

@@ -136,10 +136,6 @@ void set_strategy_json(witness::Json& summary, const CommonOptions& opts);
 /// relaxed atomic store and a sigaction reset.
 [[nodiscard]] const engine::CancelToken* install_signal_cancel();
 
-/// Human-readable phrase for why a run stopped, with the flag to raise,
-/// e.g. "the state cap was reached (raise --max-states)".
-[[nodiscard]] std::string describe_stop(engine::StopReason stop);
-
 /// The shared --replay implementation: load the witness at
 /// `opts.replay_path`, re-execute it against `sys`, narrate the outcome.
 /// Returns kExitOk when every step replays, kExitFail otherwise.
@@ -168,7 +164,11 @@ void print_dist_stats(const engine::DistTelemetry& dist);
 /// ExploreStats as a JSON object (states, transitions, finals, blocked, the
 /// POR, symmetry/sleep and rf-merge counters when non-zero, and `episodes`
 /// when sampling) for --json summaries.  Deliberately free of timing data —
-/// same seed must produce a byte-identical report.
+/// same seed must produce a byte-identical report.  That holds for a
+/// single-thread run; with --threads N > 1 an exhaustive run's
+/// peak_frontier and visited_bytes vary run to run, and so do por_chained
+/// and sleep_set_skips under --symmetry or --rf-quotient (sleep sets),
+/// while states, transitions, finals and blocked do not.
 [[nodiscard]] witness::Json stats_json(const engine::ExploreStats& stats);
 
 /// Writes a --json summary document and narrates where it went.

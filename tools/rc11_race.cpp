@@ -168,7 +168,7 @@ int main(int argc, char** argv) {
     }
     if (result.truncated) {
       std::cout << "WARNING: exploration stopped early — "
-                << cli::describe_stop(result.stop)
+                << engine::describe_stop(result.stop)
                 << "; the race set is a lower bound\n";
       if (!common.checkpoint_path.empty()) {
         std::cout << "checkpoint written to " << common.checkpoint_path

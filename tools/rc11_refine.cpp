@@ -6,50 +6,39 @@
 // Usage:
 //   rc11-refine [options] abstract.rc11 concrete.rc11
 //
-// Options (see tools/cli_common.hpp for the flags shared by every tool):
-//   --max-states N    per-system exploration bound (default 1000000)
-//   --threads N       workers for graph construction and client projection
-//                     (0 = hardware concurrency, default 1)
-//   --por             client-invisible ample reduction while building the
-//                     two state graphs (graph edges stay single steps, so
-//                     counterexamples replay unchanged)
-//   --symmetry        thread-symmetry quotient of the trace-inclusion
-//                     product (see refinement.hpp); implies --trace-only
-//                     (the Def. 8 simulation fixpoint is not quotiented);
-//                     verdicts and witnesses are unchanged, only the
-//                     product-node count shrinks
-//   --rf-quotient     rejected: the refinement checkers compare client
-//                     projections across two systems, which the
-//                     execution-graph quotient does not relate
-//   --strategy S      coverage strategy: exhaustive (default), por, or
-//                     sample[:N].  Sampling covers only the *concrete*
-//                     graph with N seeded random schedules (the abstract
-//                     graph — the specification — is always exhaustive) and
+// Options: the flags every tool shares (tools/cli_common.hpp) fill one
+// engine::RunOptions, plus --trace-only (skip the Def. 8 simulation, run
+// only trace inclusion).  The tool builds the two state graphs once
+// (refinement::build_graph_pair) and runs both checkers over that pair, so
+// the budgets (--max-states, --mem-budget, --deadline-ms) bound each graph
+// build and --threads parallelises builds and client projection.  What
+// differs from the other tools:
+//   --por             client-invisible ample reduction (graph edges stay
+//                     single steps, so counterexamples replay unchanged)
+//   --symmetry        quotients only the trace-inclusion product and
+//                     implies --trace-only; verdicts and witnesses are
+//                     unchanged, only the product-node count shrinks
+//   --strategy sample[:N]  samples only the *concrete* graph (the abstract
+//                     graph, the specification, stays exhaustive) and
 //                     implies --trace-only: a violation found is definite
 //                     (exit 2, replayable witness); a clean run is a lower
 //                     bound (exit 3)
-//   --seed S          RNG seed for --strategy sample (default 0)
-//   --stats           also print the per-check size accounting
-//   --json FILE       write a machine-readable run summary
-//   --trace-only      skip the Def. 8 simulation, run only trace inclusion
-//   --witness FILE    write the counterexample run (a run of the *concrete*
-//                     program) as a JSON witness, minimized before emission
-//   --replay FILE     re-execute a JSON witness against the concrete program
-//                     instead of checking; exit 0 iff every step replays
-//   --deadline-ms MS  wall-clock budget *per graph build* (0 = none)
-//   --mem-budget B    visited-set memory budget per graph build, optional
-//                     K/M/G suffix (0 = unlimited)
-//
-// --checkpoint/--resume are rejected: a refinement check builds two state
-// graphs per run, so a single checkpoint file would be ambiguous.
+//   --witness FILE    the counterexample is a run of the *concrete* program;
+//                     --replay re-executes one against it
+//   --workers, --rf-quotient, --checkpoint, --resume  rejected by the
+//                     library (exit 1): a two-graph check has no frontier to
+//                     partition, no shared quotient key, and no single
+//                     checkpoint to write
 // SIGINT/SIGTERM drain whichever graph build is running; the tool still
 // prints its partial report and exits 3.  RC11_FAULT injects faults.
 //
 // The abstract program typically uses abstract objects (lock/stack
 // declarations); the concrete one inlines an implementation over library
 // variables and `reg library` registers.  Exit status: 0 refines, 1 usage /
-// parse errors, 2 refinement fails (or --replay diverged), 3 inconclusive
-// (truncated).
+// parse errors, 2 refinement fails (or --replay diverged), 3 inconclusive:
+// a graph stopped early (state cap, memory budget, deadline, Ctrl-C, fault)
+// or the concrete graph was sampled, and no violation was found — a
+// truncated check prints "inconclusive", never "fails".
 
 #include <iostream>
 #include <optional>
@@ -61,6 +50,17 @@
 #include "witness/witness.hpp"
 
 namespace {
+
+/// A check's verdict word: a truncated check that found nothing decides
+/// nothing.
+const char* verdict(bool holds, bool truncated) {
+  if (!holds) return "fails";
+  return truncated ? "inconclusive" : "holds";
+}
+
+rc11::witness::Json json_count(std::uint64_t n) {
+  return rc11::witness::Json::integer(static_cast<std::int64_t>(n));
+}
 
 int usage() {
   std::cerr << "usage: rc11-refine " << rc11::cli::kCommonUsage
@@ -105,14 +105,6 @@ int main(int argc, char** argv) {
     std::cerr << "rc11-refine: " << err << "\n";
     return cli::kExitUsage;
   }
-  if (common.workers > 0) {
-    // The refinement fixpoint runs over a product of two prebuilt graphs,
-    // not over the frontier the supervisor partitions.
-    std::cerr << "rc11-refine: --workers is not supported here (supervised "
-                 "multi-process checking covers rc11-run, rc11-verify and "
-                 "rc11-race)\n";
-    return cli::kExitUsage;
-  }
   if (common.mode == engine::Strategy::Sample && !trace_only) {
     // The Def. 8 simulation fixpoint needs the full concrete edge relation
     // (missing edges would let pairs survive vacuously); the trace-inclusion
@@ -128,49 +120,6 @@ int main(int argc, char** argv) {
                  "simulation fixpoint is not quotiented)\n";
     trace_only = true;
   }
-  if (common.rf_quotient) {
-    // Neither the Def. 8 simulation fixpoint nor the trace-inclusion product
-    // is quotiented by reads-from: both compare *client-projected* states
-    // across two different systems, and the quotient keys are only
-    // comparable within one system.
-    std::cerr << "rc11-refine: --rf-quotient is not supported here (the "
-                 "refinement checkers compare client projections across two "
-                 "systems, which the execution-graph quotient does not "
-                 "relate); use --por or --symmetry to shrink the graphs "
-                 "instead\n";
-    return cli::kExitUsage;
-  }
-  if (!common.checkpoint_path.empty() || !common.resume_path.empty()) {
-    std::cerr << "rc11-refine: --checkpoint/--resume are not supported here "
-                 "(a refinement check builds two state graphs per run, so a "
-                 "single checkpoint file is ambiguous); use --deadline-ms / "
-                 "--mem-budget to bound the run instead\n";
-    return cli::kExitUsage;
-  }
-
-  const auto* cancel = cli::install_signal_cancel();
-  const auto fault = rc11::engine::FaultPlan::from_env();
-
-  refinement::SimulationOptions sim_opts;
-  sim_opts.max_states = common.max_states;
-  sim_opts.num_threads = common.num_threads;
-  sim_opts.por = common.por;
-  sim_opts.max_visited_bytes = common.max_visited_bytes;
-  sim_opts.deadline_ms = common.deadline_ms;
-  sim_opts.cancel = cancel;
-  sim_opts.fault = fault;
-  refinement::TraceInclusionOptions trace_opts;
-  trace_opts.max_states = common.max_states;
-  trace_opts.num_threads = common.num_threads;
-  trace_opts.por = common.por;
-  trace_opts.symmetry = common.symmetry;
-  trace_opts.mode = common.mode;
-  trace_opts.sample = common.sample;
-  trace_opts.max_visited_bytes = common.max_visited_bytes;
-  trace_opts.deadline_ms = common.deadline_ms;
-  trace_opts.cancel = cancel;
-  trace_opts.fault = fault;
-
   try {
     const auto abs = parser::parse_file(abs_path);
     const auto conc = parser::parse_file(conc_path);
@@ -178,9 +127,14 @@ int main(int argc, char** argv) {
     if (!common.replay_path.empty()) {
       return cli::run_replay(conc.sys, common);
     }
+    std::optional<engine::Checkpoint> resume;
+    cli::arm_run(common, resume);
+    refinement::TraceInclusionOptions trace_opts;
+    static_cast<engine::RunOptions&>(trace_opts) = common;
+    const auto pair = refinement::build_graph_pair(abs.sys, conc.sys, common);
 
     bool refines = true;
-    bool inconclusive = false;
+    std::string inconclusive;  // why the first truncated check could not decide
     std::optional<witness::Witness> counterexample;
     auto summary = witness::Json::object();
     summary.set("tool", witness::Json::string("rc11-refine"));
@@ -189,10 +143,9 @@ int main(int argc, char** argv) {
     cli::set_strategy_json(summary, common);
 
     if (!trace_only) {
-      const auto sim =
-          refinement::check_forward_simulation(abs.sys, conc.sys, sim_opts);
+      const auto sim = refinement::check_forward_simulation(pair);
       std::cout << "forward simulation (Def. 8):  "
-                << (sim.holds ? "holds" : "fails") << "  [abs "
+                << verdict(sim.holds, sim.truncated) << "  [abs "
                 << sim.abstract_states << " states, conc "
                 << sim.concrete_states << " states, " << sim.surviving_pairs
                 << "/" << sim.candidate_pairs << " pairs survive]\n";
@@ -208,29 +161,20 @@ int main(int argc, char** argv) {
         if (sim.witness) counterexample = sim.witness;
       }
       refines = refines && sim.holds;
-      inconclusive = inconclusive || sim.truncated;
+      if (sim.truncated && inconclusive.empty()) inconclusive = sim.diagnosis;
 
       auto sim_json = witness::Json::object();
       sim_json.set("holds", witness::Json::boolean(sim.holds));
-      sim_json.set("abstract_states",
-                   witness::Json::integer(
-                       static_cast<std::int64_t>(sim.abstract_states)));
-      sim_json.set("concrete_states",
-                   witness::Json::integer(
-                       static_cast<std::int64_t>(sim.concrete_states)));
-      sim_json.set("candidate_pairs",
-                   witness::Json::integer(
-                       static_cast<std::int64_t>(sim.candidate_pairs)));
-      sim_json.set("surviving_pairs",
-                   witness::Json::integer(
-                       static_cast<std::int64_t>(sim.surviving_pairs)));
+      sim_json.set("abstract_states", json_count(sim.abstract_states));
+      sim_json.set("concrete_states", json_count(sim.concrete_states));
+      sim_json.set("candidate_pairs", json_count(sim.candidate_pairs));
+      sim_json.set("surviving_pairs", json_count(sim.surviving_pairs));
       summary.set("simulation", std::move(sim_json));
     }
 
-    const auto tr =
-        refinement::check_trace_inclusion(abs.sys, conc.sys, trace_opts);
+    const auto tr = refinement::check_trace_inclusion(pair, trace_opts);
     std::cout << "trace inclusion  (Defs. 5-7): "
-              << (tr.holds ? "holds" : "fails") << "  [" << tr.product_nodes
+              << verdict(tr.holds, tr.truncated) << "  [" << tr.product_nodes
               << " product nodes]\n";
     if (!tr.holds && !tr.what.empty()) {
       std::cout << "  witness: " << tr.what << "\n";
@@ -239,13 +183,11 @@ int main(int argc, char** argv) {
       counterexample = tr.witness;
     }
     refines = refines && tr.holds;
-    inconclusive = inconclusive || tr.truncated;
+    if (tr.truncated && inconclusive.empty()) inconclusive = tr.what;
 
     auto tr_json = witness::Json::object();
     tr_json.set("holds", witness::Json::boolean(tr.holds));
-    tr_json.set("product_nodes",
-                witness::Json::integer(
-                    static_cast<std::int64_t>(tr.product_nodes)));
+    tr_json.set("product_nodes", json_count(tr.product_nodes));
     summary.set("trace_inclusion", std::move(tr_json));
 
     if (!common.witness_path.empty()) {
@@ -258,7 +200,8 @@ int main(int argc, char** argv) {
     }
 
     summary.set("refines", witness::Json::boolean(refines));
-    summary.set("inconclusive", witness::Json::boolean(inconclusive));
+    summary.set("inconclusive",
+                witness::Json::boolean(refines && !inconclusive.empty()));
     if (!common.json_path.empty()) {
       cli::write_json_summary(summary, common.json_path);
     }
@@ -271,8 +214,9 @@ int main(int argc, char** argv) {
       std::cout << "DOES NOT REFINE\n";
       return cli::kExitFail;
     }
-    if (inconclusive) {
-      std::cout << "INCONCLUSIVE: exploration truncated\n";
+    if (!inconclusive.empty()) {
+      std::cout << "INCONCLUSIVE: exploration truncated — " << inconclusive
+                << "; no refinement violation found in the part examined\n";
       return cli::kExitInconclusive;
     }
     std::cout << "REFINES\n";

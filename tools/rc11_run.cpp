@@ -192,9 +192,11 @@ int main(int argc, char** argv) {
     }
 
     if (!dot_path.empty()) {
-      const auto graph =
-          refinement::build_graph(program.sys, opts.max_states,
-                                  /*want_labels=*/true, opts.num_threads);
+      refinement::GraphOptions gopts;
+      gopts.max_states = opts.max_states;
+      gopts.num_threads = opts.num_threads;
+      gopts.want_labels = true;
+      const auto graph = refinement::build_graph(program.sys, gopts);
       std::ofstream out{dot_path};
       out << explore::to_dot(program.sys, graph);
       std::cout << "state graph (" << graph.num_states()
@@ -217,7 +219,7 @@ int main(int argc, char** argv) {
     }
     if (result.truncated) {
       std::cout << "WARNING: exploration stopped early — "
-                << cli::describe_stop(result.stop)
+                << engine::describe_stop(result.stop)
                 << "; results are a lower bound\n";
       if (!common.checkpoint_path.empty()) {
         std::cout << "checkpoint written to " << common.checkpoint_path

@@ -176,7 +176,7 @@ int main(int argc, char** argv) {
 
     if (result.valid && inconclusive) {
       std::cout << "INCONCLUSIVE: outline check stopped early — "
-                << cli::describe_stop(result.stop)
+                << engine::describe_stop(result.stop)
                 << "; no failure found in the part examined\n";
       if (!common.checkpoint_path.empty()) {
         std::cout << "checkpoint written to " << common.checkpoint_path
