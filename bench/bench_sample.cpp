@@ -82,7 +82,7 @@ void report_sample(rc11::bench::JsonReport& json) {
   for (const auto& [name, sys] : workloads()) {
     explore::ExploreOptions oracle_opts;
     explore::ExploreOptions sample_opts;
-    sample_opts.mode = explore::Strategy::Sample;
+    sample_opts.mode = engine::Strategy::Sample;
     sample_opts.sample.episodes = kEpisodes;
     sample_opts.sample.seed = kSeed;
 

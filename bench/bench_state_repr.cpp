@@ -25,8 +25,8 @@ using namespace rc11;
 /// the timed loops run over a realistic mix of states (not just the root).
 std::vector<lang::Config> reachable_configs(const lang::System& sys) {
   std::vector<lang::Config> out;
-  const auto reach = explore::visit_reachable(
-      sys, explore::ReachOptions{},
+  const auto reach = engine::visit_reachable(
+      sys, engine::ReachOptions{},
       [&](const lang::Config& cfg, std::uint64_t, std::span<const lang::Step>) {
         out.push_back(cfg);
         return true;

@@ -9,6 +9,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -37,18 +38,6 @@ struct Frontier {
   /// does not fire again, and no state claim is consumed.
   bool revisit = false;
 };
-
-/// Takes the next frontier item in search order: the oldest under BFS, the
-/// newest under DFS.
-Frontier pop_next(std::deque<Frontier>& items, bool bfs) {
-  Frontier item = std::move(bfs ? items.front() : items.back());
-  if (bfs) {
-    items.pop_front();
-  } else {
-    items.pop_back();
-  }
-  return item;
-}
 
 /// Builds the run's state abstraction from the reduction options: the
 /// symmetry orbit quotient, the execution-graph quotient, or — when neither
@@ -528,7 +517,6 @@ ReachResult parallel_reach(const TransitionSystem& ts,
   seed_frontier(ts, options, abs, visited, canon, frontier.items);
   frontier.max_size = frontier.items.size();
 
-  const bool bfs = options.strategy == SearchStrategy::Bfs;
   constexpr std::size_t kMaxBatch = 32;
   using PoolExpander = Expander<ShardedVisitedSet, ShardedVisitedSet>;
   std::deque<PoolExpander> expanders;
@@ -557,7 +545,8 @@ ReachResult parallel_reach(const TransitionSystem& ts,
             kMaxBatch,
             std::max<std::size_t>(1, frontier.items.size() / workers));
         for (std::size_t i = 0; i < take && !frontier.items.empty(); ++i) {
-          batch.push_back(pop_next(frontier.items, bfs));
+          batch.push_back(std::move(frontier.items.back()));
+          frontier.items.pop_back();
         }
         frontier.working += 1;
       }
@@ -627,18 +616,18 @@ ReachResult sequential_reach(const TransitionSystem& ts,
   Expander<support::InternedWordSet, SeqMaskedSet> expander(
       ts, options, visitor, abs, sleep, visited, canon);
   const auto push = [&](Frontier&& f) { frontier.push_back(std::move(f)); };
-  const bool bfs = options.strategy == SearchStrategy::Bfs;
   ReachResult result;
   std::uint64_t peak_frontier = 0;
   while (!frontier.empty()) {
-    const bool revisit = (bfs ? frontier.front() : frontier.back()).revisit;
-    if (const StopReason gate = revisit ? enforcer.probe() : enforcer.claim();
+    if (const StopReason gate = frontier.back().revisit ? enforcer.probe()
+                                                        : enforcer.claim();
         gate != StopReason::Complete) {
       result.stop = gate;
       break;
     }
     peak_frontier = std::max<std::uint64_t>(peak_frontier, frontier.size());
-    Frontier item = pop_next(frontier, bfs);
+    Frontier item = std::move(frontier.back());
+    frontier.pop_back();
     if (!expander.expand(item, push)) break;
   }
   result.stats = expander.stats();
@@ -651,7 +640,7 @@ ReachResult sequential_reach(const TransitionSystem& ts,
 }  // namespace
 
 // Declared in reach.hpp: chain collapse must be a pure function of `cfg` so
-// every worker, strategy, trace mode *and process* (the supervised driver's
+// every worker, trace mode *and process* (the supervised driver's
 // workers, engine/supervise.cpp) collapses identically.  Chains terminate
 // because every chain step strictly increases the acting thread's pc (the
 // ample proviso) and touches no other thread's pc.
@@ -683,24 +672,53 @@ bool expand_steps(const TransitionSystem& ts, const Config& cfg,
       if (!out.empty()) return true;
     }
   }
-  if (options.fuse_local_steps) {
-    if (const auto t = ts.fusible_thread(cfg)) {
-      ts.thread_successors_into(cfg, *t, out, want_labels);
-      return false;
-    }
-  }
   ts.successors_into(cfg, out, want_labels);
   return false;
+}
+
+std::string unsupported_combination(Strategy mode, bool por, bool symmetry,
+                                    bool rf_quotient, bool checkpoint,
+                                    bool resume) {
+  if (symmetry && rf_quotient) {
+    return "--symmetry and --rf-quotient cannot be combined: the engine "
+           "cannot transport sleep masks through two state quotients at once "
+           "— pick one reduction";
+  }
+  if (mode != Strategy::Sample) return {};
+  // A sampling run replays concrete schedules: it has no quotient to key
+  // states by and no frontier to save or continue from.
+  if (por) {
+    return "--por cannot be combined with --strategy sample; pick one "
+           "coverage strategy";
+  }
+  for (const auto& [flag, on] : {std::pair{"--symmetry", symmetry},
+                                 std::pair{"--rf-quotient", rf_quotient}}) {
+    if (on) {
+      return std::string(flag) +
+             " cannot be combined with --strategy sample: the sampling "
+             "strategy replays concrete schedules and cannot quotient states "
+             "(drop one of the two)";
+    }
+  }
+  if (checkpoint) {
+    return "--checkpoint is not supported under --strategy sample: a "
+           "sampling run has no frontier to save";
+  }
+  if (resume) {
+    return "--resume is not supported under --strategy sample: a sampling "
+           "run has no frontier to continue from (re-run with a fresh seed "
+           "instead)";
+  }
+  return {};
 }
 
 ReachResult visit_reachable(const TransitionSystem& ts,
                             const ReachOptions& options,
                             const StateVisitor& visitor) {
-  support::require(
-      !(options.symmetry && options.rf_quotient),
-      "--symmetry and --rf-quotient cannot be combined (v1): sleep masks "
-      "cannot be transported through both quotients at once — pick one "
-      "reduction");
+  const std::string conflict = unsupported_combination(
+      options.mode, options.por, options.symmetry, options.rf_quotient,
+      /*checkpoint=*/false, options.resume != nullptr);
+  support::require(conflict.empty(), conflict);
   if (options.rf_quotient) {
     support::require(
         ts.system().options().model != memsem::MemoryModel::SC,
@@ -709,28 +727,14 @@ ReachResult visit_reachable(const TransitionSystem& ts,
         "observable state (drop --rf-quotient or the SC model)");
   }
   if (options.mode == Strategy::Sample) {
-    support::require(!options.por,
-                     "--por cannot be combined with --strategy sample; pick "
-                     "one coverage strategy");
-    support::require(
-        !options.symmetry,
-        "--symmetry requires exhaustive or POR exploration: the sampling "
-        "strategy replays concrete schedules and cannot quotient states "
-        "(drop --symmetry or the sampling strategy)");
-    support::require(
-        !options.rf_quotient,
-        "--rf-quotient requires exhaustive or POR exploration: the sampling "
-        "strategy replays concrete schedules and cannot quotient states "
-        "(drop --rf-quotient or the sampling strategy)");
     return sample_reach(ts, options, visitor);
   }
   if (options.resume != nullptr) {
     // The enqueued set is a function of the reduction: a checkpoint taken
     // under POR seeds a different frontier than a full run needs (and vice
     // versa), and each quotient decides which orbit or class representative
-    // was interned and enqueued — so the settings must agree.  Thread count
-    // and strategy are free to change: they never affect which states are
-    // enqueued.
+    // was interned and enqueued — so the settings must agree.  The thread
+    // count is free to change: it never affects which states are enqueued.
     const struct {
       const char* flag;
       bool recorded;

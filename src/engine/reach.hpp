@@ -19,7 +19,7 @@
 // and only the chain's stable end is visited — this is where the bulk of
 // the visited-state reduction comes from.  The reduced state graph is a
 // deterministic function of the system (see TransitionSystem::ample_thread),
-// so POR composes with any worker count, search strategy and trace sink;
+// so POR composes with any worker count and trace sink;
 // every recorded trace edge — including chain-internal ones, which are
 // interned in the sink without being visited — is a real single transition
 // of the full semantics, so recorded traces replay unchanged
@@ -32,6 +32,7 @@
 #include <functional>
 #include <optional>
 #include <span>
+#include <string>
 
 #include "engine/abstraction.hpp"
 #include "engine/budget.hpp"
@@ -44,11 +45,6 @@ namespace rc11::engine {
 struct Checkpoint;  // engine/checkpoint.hpp
 
 using lang::Step;
-
-/// Search order.  Both visit the same set of states (the visited set makes
-/// exploration order-insensitive); BFS yields shortest counterexample
-/// traces, DFS has the smaller frontier on deep graphs.
-enum class SearchStrategy : std::uint8_t { Dfs, Bfs };
 
 struct ExploreStats {
   std::uint64_t states = 0;       ///< distinct states visited
@@ -107,19 +103,16 @@ struct ReachOptions {
   /// names whichever limit ended the run.
   Budget budget;
   unsigned num_threads = 1;  ///< same convention as RunOptions
-  SearchStrategy strategy = SearchStrategy::Dfs;
   /// How to cover the state space: enumeration (default; over the ample-
   /// reduced relation when `por` is set) or seeded random sampling
   /// (engine/sample.hpp).  Under Strategy::Sample the driver runs
   /// sample_reach: episodes are sequential regardless of num_threads (seed
-  /// determinism), `resume`, `por`, `symmetry` and `rf_quotient` are
-  /// rejected, and search `strategy` is ignored.
+  /// determinism), and `resume`, `por`, `symmetry` and `rf_quotient` are
+  /// rejected (unsupported_combination).
   Strategy mode = Strategy::Exhaustive;
   /// Tuning for Strategy::Sample (ignored otherwise).
   SampleOptions sample;
-  bool fuse_local_steps = false;
-  /// Ample-set partial-order reduction (see the header comment).  Subsumes
-  /// fuse_local_steps when on; checked before it.
+  /// Ample-set partial-order reduction (see the header comment).
   bool por = false;
   bool want_labels = false;  ///< fill Step::label for the visitor
   /// Thread-symmetry quotient (engine/symmetry.hpp): states are deduplicated
@@ -202,8 +195,8 @@ struct ReachResult {
   StopReason stop = StopReason::Complete;
 };
 
-/// The driver's per-state expansion policy — POR ample set, local fusion, or
-/// full successor relation — exposed so graph builders that must mirror the
+/// The driver's per-state expansion policy — POR ample set or full
+/// successor relation — exposed so graph builders that must mirror the
 /// reduced edge relation (refinement::build_graph phase 2) expand exactly
 /// like the driver.  Returns true iff a reduced (ample) set was produced.
 bool expand_steps(const TransitionSystem& ts, const Config& cfg,
@@ -218,6 +211,17 @@ bool expand_steps(const TransitionSystem& ts, const Config& cfg,
 /// collapse exactly like this driver; returns nullopt when no chain starts.
 [[nodiscard]] std::optional<lang::ThreadId> chain_thread(
     const TransitionSystem& ts, const Config& cfg);
+
+/// The run-setting combinations no driver honours, each rule stated once:
+/// `symmetry` with `rf_quotient`, and under Strategy::Sample a reduction
+/// (`por`, `symmetry`, `rf_quotient`) or a checkpoint to write or resume.
+/// Returns the message for the first conflict, or an empty string when the
+/// settings combine.  visit_reachable and engine::CheckerRun throw it as a
+/// support::Error; the CLIs print it before they parse the program.
+[[nodiscard]] std::string unsupported_combination(Strategy mode, bool por,
+                                                  bool symmetry,
+                                                  bool rf_quotient,
+                                                  bool checkpoint, bool resume);
 
 /// Enumerates reachable configurations under `options`, invoking `visitor`
 /// once per configuration.  Deduplication uses canonical encodings with
@@ -237,8 +241,9 @@ bool expand_steps(const TransitionSystem& ts, const Config& cfg,
 /// options.sample.episodes seeded random schedules end-to-end, invoking the
 /// visitor once per *newly covered* configuration — so visitors written for
 /// exhaustive runs (violation scanners, graph collectors) work unchanged on
-/// the sampled subgraph.  visit_reachable dispatches here; call it directly
-/// only from tests.
+/// the sampled subgraph.  visit_reachable dispatches here once
+/// unsupported_combination has accepted the options (`resume` is rejected
+/// there, not here); call it directly only from tests.
 [[nodiscard]] ReachResult sample_reach(const TransitionSystem& ts,
                                        const ReachOptions& options,
                                        const StateVisitor& visitor);

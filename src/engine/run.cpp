@@ -60,13 +60,11 @@ CheckerRun::CheckerRun(const System& sys, const RunOptions& options)
                      "--workers cannot resume a checkpoint; resume runs "
                      "single-process (the checkpoint it writes is compatible)");
   }
-  // Reject before any exploration work happens (sample_reach rejects a
-  // resume the same way).
-  if (options.mode == Strategy::Sample) {
-    support::require(options.checkpoint_path.empty(),
-                     "--checkpoint is not supported under --strategy sample: "
-                     "a sampling run has no frontier to save");
-  }
+  // Reject before any exploration work happens.
+  const std::string conflict = unsupported_combination(
+      options.mode, options.por, options.symmetry, options.rf_quotient,
+      !options.checkpoint_path.empty(), options.resume != nullptr);
+  support::require(conflict.empty(), conflict);
   // The supervisor interns every state into a sink whether or not traces
   // are wanted; in-process runs pay for one only when they record.
   if (traced_ || options.workers > 0) sink_.emplace();
@@ -110,7 +108,6 @@ DistResult CheckerRun::run(const StateVisitor& visitor, DistDelegate& delegate,
     dopts.workers = options_.workers;
     dopts.budget = budget;
     dopts.por = options_.por;
-    dopts.fuse_local_steps = extras.fuse_local_steps;
     dopts.rf_quotient = options_.rf_quotient;
     dopts.rf_pins = extras.rf_pins;
     dopts.cancel = options_.cancel;
@@ -120,10 +117,8 @@ DistResult CheckerRun::run(const StateVisitor& visitor, DistDelegate& delegate,
     ReachOptions ropts;
     ropts.budget = budget;
     ropts.num_threads = options_.num_threads;
-    ropts.strategy = extras.strategy;
     ropts.mode = options_.mode;
     ropts.sample = options_.sample;
-    ropts.fuse_local_steps = extras.fuse_local_steps;
     ropts.por = options_.por;
     ropts.symmetry = options_.symmetry;
     ropts.rf_quotient = options_.rf_quotient;

@@ -45,10 +45,10 @@ struct RunOptions {
   /// with StopReason::Deadline.
   std::uint64_t deadline_ms = 0;
   /// Worker threads expanding configurations: 1 (the default) runs the exact
-  /// sequential search — required for BFS shortest-trace guarantees and for
-  /// reproducible failure order; 0 resolves to
-  /// std::thread::hardware_concurrency(); N > 1 runs a shared-frontier pool
-  /// over a lock-striped visited set (engine/sharded_visited.hpp).  For
+  /// sequential search, whose failure order and traces are reproducible; 0
+  /// resolves to std::thread::hardware_concurrency(); N > 1 runs a
+  /// shared-frontier pool over a lock-striped visited set
+  /// (engine/sharded_visited.hpp).  For
   /// every thread count the *set* of visited states and every verdict are
   /// identical (checkers sort their findings canonically); only per-run
   /// orderings — which finding is reported first under a stop-at-first
@@ -92,8 +92,8 @@ struct RunOptions {
   /// rejects checkpoint_path, resume, `por`, `symmetry`, `rf_quotient` and
   /// `workers`.
   Strategy mode = Strategy::Exhaustive;
-  /// Tuning for Strategy::Sample (episodes, seed, guided bias, episode step
-  /// cap); ignored otherwise.
+  /// Tuning for Strategy::Sample (episodes, seed, guided bias); ignored
+  /// otherwise.
   SampleOptions sample;
   /// Record parent links and step labels so findings carry a trace and a
   /// replayable witness (costs memory; off for benchmarks).  Works for any
@@ -152,18 +152,15 @@ struct DriverExtras {
   RfPins rf_pins;
   /// Fill Step::label for the visitor even when no traces are recorded.
   bool want_labels = false;
-  /// Search order and local-step fusion, for the checkers that expose them
-  /// (explore::ExploreOptions, race::RaceOptions).
-  SearchStrategy strategy = SearchStrategy::Dfs;
-  bool fuse_local_steps = false;
 };
 
 /// One checker run over `sys`.  Construct it (which validates the options),
 /// build the visitor and delegate against trace(), then call run() once.
 class CheckerRun {
  public:
-  /// Throws support::Error on an option combination the run cannot honour,
-  /// with the wording the CLIs print.
+  /// Throws support::Error on an option combination the run cannot honour
+  /// (the --workers rules, then unsupported_combination), with the wording
+  /// the CLIs print.
   CheckerRun(const System& sys, const RunOptions& options);
   CheckerRun(const CheckerRun&) = delete;
   CheckerRun& operator=(const CheckerRun&) = delete;

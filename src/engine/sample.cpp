@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "engine/reach.hpp"
-#include "support/diagnostics.hpp"
 #include "support/intern.hpp"
 
 namespace rc11::engine {
@@ -64,14 +63,6 @@ struct ThreadRange {
 ReachResult sample_reach(const TransitionSystem& ts,
                          const ReachOptions& options,
                          const StateVisitor& visitor) {
-  // No meaningful frontier to resume: the coverage set plus the RNG/bias
-  // state is not a work list.  Reject loudly instead of silently producing
-  // a continuation that re-samples from scratch.
-  support::require(options.resume == nullptr,
-                   "--resume is not supported under --strategy sample: a "
-                   "sampling run has no frontier to continue from (re-run "
-                   "with a fresh seed instead)");
-
   const System& sys = ts.system();
   ReachResult result;
   // Untraced runs keep a lock-free interned set; a trace sink replaces it
@@ -103,9 +94,6 @@ ReachResult sample_reach(const TransitionSystem& ts,
     key = (key ^ choice) * 0x100000001B3ULL;
     return key;
   };
-  const std::uint64_t step_cap = options.sample.max_episode_steps != 0
-                                     ? options.sample.max_episode_steps
-                                     : kDefaultEpisodeStepCap;
 
   lang::StepBuffer steps;
   std::vector<std::uint64_t> scratch;
@@ -139,7 +127,7 @@ ReachResult sample_reach(const TransitionSystem& ts,
     auto [fresh, id] =
         intern(cfg, ShardedVisitedSet::kNoState, 0, "init");
     bool stop_run = false;
-    for (std::uint64_t depth = 0; depth < step_cap; ++depth) {
+    for (std::uint64_t depth = 0; depth < kDefaultEpisodeStepCap; ++depth) {
       if (++probe_clock >= kBudgetCheckInterval) {
         probe_clock = 0;
         if (enforcer.probe() != StopReason::Complete) {

@@ -36,7 +36,8 @@
 //   * checkpoints — there is no meaningful frontier to checkpoint (the
 //                   coverage set plus the RNG/bias state is not a resumable
 //                   work list), so ReachOptions::resume and checkpoint
-//                   requests are *rejected loudly* under sampling instead of
+//                   requests are *rejected loudly* under sampling
+//                   (unsupported_combination, engine/reach.hpp) instead of
 //                   silently producing a wrong continuation.
 //
 // Episodes run sequentially regardless of ReachOptions::num_threads: the
@@ -73,16 +74,14 @@ struct SampleOptions {
   /// alternatives — by how often they have already executed, across and
   /// within episodes.  Off = both draws are uniform.
   bool guided = true;
-  /// Per-episode schedule-length cap, the spin-loop safety valve: an
-  /// episode that has not reached a final or blocked configuration after
-  /// this many steps is abandoned (it still counts as an episode; its
-  /// states stay in the coverage set).  0 = the built-in default.
-  std::uint64_t max_episode_steps = 0;
 };
 
-/// Default for SampleOptions::max_episode_steps == 0.  Generous against the
-/// corpus (complete schedules there run tens to hundreds of steps) while
-/// still bounding a pathological all-spin schedule.
+/// Per-episode schedule-length cap, the spin-loop safety valve: an episode
+/// that has not reached a final or blocked configuration after this many
+/// steps is abandoned (it still counts as an episode; its states stay in
+/// the coverage set).  Generous against the corpus (complete schedules
+/// there run tens to hundreds of steps) while still bounding a
+/// pathological all-spin schedule.
 inline constexpr std::uint64_t kDefaultEpisodeStepCap = 20'000;
 
 }  // namespace rc11::engine

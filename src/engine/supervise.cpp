@@ -266,7 +266,6 @@ struct WorkerCtx {
     }
     ReachOptions expand_opts;
     expand_opts.por = opts.por;
-    expand_opts.fuse_local_steps = opts.fuse_local_steps;
     const bool collapse = opts.por && ts.collapse_chains();
 
     wire::FrameReader reader;

@@ -71,8 +71,7 @@ namespace rc11::engine {
 struct DistOptions {
   unsigned workers = 1;  ///< worker processes (>= 1; 1 is the reference run)
   Budget budget;
-  bool por = false;
-  bool fuse_local_steps = false;  ///< mirrored into the workers' expand_steps
+  bool por = false;  ///< mirrored into the workers' expand_steps
   bool rf_quotient = false;
   RfPins rf_pins;  ///< extra rf-quotient key pins (ignored unless rf_quotient)
   /// States per dispatched batch (0: RC11_DIST_BATCH, default 32).

@@ -4,9 +4,9 @@
 // TransitionSystem produces, for any configuration, the enabled steps of the
 // combined operational semantics — each tagged with independence metadata
 // (acting thread, accessed location, read/write/RMW/object kind, sync flag;
-// see lang::StepMeta) — plus the two state-local reductions the generic
-// reachability driver (engine/reach.hpp) can apply: local-step fusion and
-// ample-set partial-order reduction.
+// see lang::StepMeta) — plus the state-local reduction the generic
+// reachability driver (engine/reach.hpp) can apply: ample-set partial-order
+// reduction.
 //
 // SystemTransitions is the one implementation, covering client-only systems,
 // clients over abstract objects and clients over inlined library
@@ -128,8 +128,10 @@ class TransitionSystem {
   [[nodiscard]] virtual std::optional<ThreadId> ample_thread(
       const Config& cfg) const = 0;
 
-  /// The thread to expand exclusively under local-step fusion (the weaker,
-  /// historic reduction of ExploreOptions::fuse_local_steps), if any.
+  /// The lowest thread whose next instruction is local (lang::fusible_thread),
+  /// if any.  No driver calls it: `por` subsumes local-step fusion, and
+  /// witness minimisation calls lang::fusible_thread directly.  It stays
+  /// only because perfbench/trace.cpp's timing TransitionSystem overrides it.
   [[nodiscard]] virtual std::optional<ThreadId> fusible_thread(
       const Config& cfg) const = 0;
 

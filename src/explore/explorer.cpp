@@ -78,7 +78,7 @@ class ExploreDelegate final : public engine::DistDelegate {
         if (options_.stop_on_violation) keep = false;
       }
     }
-    if (options_.collect_finals && steps.empty() && cfg.all_done(sys_)) {
+    if (steps.empty() && cfg.all_done(sys_)) {
       std::vector<std::uint64_t> wire;
       cfg.encode_wire(wire);
       witness::Json e = witness::Json::object();
@@ -90,7 +90,7 @@ class ExploreDelegate final : public engine::DistDelegate {
   }
 
   bool absorb(const witness::Json& event, std::uint64_t id,
-              const ShardedVisitedSet& sink) override {
+              const engine::ShardedVisitedSet& sink) override {
     const std::string& kind = event.at("kind").as_string();
     if (kind == "violation") {
       violations.push_back(make_violation(run_, id,
@@ -98,7 +98,7 @@ class ExploreDelegate final : public engine::DistDelegate {
                                           event.at("dump").as_string()));
       return !options_.stop_on_violation;
     }
-    if (kind == "final" && options_.collect_finals) {
+    if (kind == "final") {
       std::vector<std::uint64_t> words;
       engine::wire::words_from_hex(event.at("wire").as_string(), words);
       Config done = Config::decode_wire(sys_, words);
@@ -123,7 +123,7 @@ class ExploreDelegate final : public engine::DistDelegate {
   const ExploreOptions& options_;
   const Invariant& invariant_;
   const engine::CheckerRun& run_;
-  ShardedVisitedSet final_dedup_;
+  engine::ShardedVisitedSet final_dedup_;
 };
 
 }  // namespace
@@ -148,14 +148,14 @@ ExploreResult explore(const System& sys, const ExploreOptions& options,
   if (options.symmetry) reducer.emplace(sys);
   const bool orbit = reducer.has_value() && reducer->symmetric();
 
-  ShardedVisitedSet final_dedup;
+  engine::ShardedVisitedSet final_dedup;
   std::mutex finals_mu;
   std::vector<KeyedConfig> finals;
   std::mutex violations_mu;
   std::vector<Violation> violations;
 
-  const StateVisitor visitor = [&](const Config& cfg, std::uint64_t id,
-                                   std::span<const Step> steps) -> bool {
+  const engine::StateVisitor visitor = [&](const Config& cfg, std::uint64_t id,
+                                           std::span<const Step> steps) -> bool {
     bool keep_going = true;
     if (invariant) {
       const auto check_member = [&](const Config& member, bool is_rep) {
@@ -187,7 +187,7 @@ ExploreResult explore(const System& sys, const ExploreOptions& options,
         check_member(cfg, /*is_rep=*/true);
       }
     }
-    if (options.collect_finals && steps.empty() && cfg.all_done(sys)) {
+    if (steps.empty() && cfg.all_done(sys)) {
       const auto collect = [&](const Config& done) {
         // Encode once; the encoding doubles as the dedup key here and the
         // canonical sort key below.
@@ -214,11 +214,7 @@ ExploreResult explore(const System& sys, const ExploreOptions& options,
   };
   ExploreDelegate delegate(sys, options, invariant, run);
 
-  const auto reach =
-      run.run(visitor, delegate,
-              {.rf_pins = options.rf_pins,
-               .strategy = options.strategy,
-               .fuse_local_steps = options.fuse_local_steps});
+  const auto reach = run.run(visitor, delegate, {.rf_pins = options.rf_pins});
 
   ExploreResult result;
   result.stats = reach.stats;

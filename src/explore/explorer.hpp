@@ -11,8 +11,7 @@
 // engine/transition_system.hpp (successor generation + independence
 // metadata + ample-set POR) and engine/run.hpp (the run settings every
 // checker shares, engine::RunOptions, and the harness that validates them,
-// dispatches and checkpoints).  This header re-exports the driver types
-// under their historic explore:: names and adds the explorer proper:
+// dispatches and checkpoints).  This header adds the explorer proper:
 // invariant evaluation, final-configuration collection and witnesses.
 
 #pragma once
@@ -37,36 +36,15 @@ using lang::Step;
 using lang::System;
 using lang::ThreadId;
 
-// Driver vocabulary, re-exported from the engine layer (the definitions
-// moved there when og::check_outline and refinement::build_graph were ported
-// onto the same driver).
-using engine::ExploreStats;
-using engine::ReachOptions;
-using engine::ReachResult;
-using engine::SampleOptions;
-using engine::SearchStrategy;
-using engine::ShardedVisitedSet;
-using engine::StateVisitor;
-using engine::Strategy;
-using engine::visit_reachable;
-
 /// The explorer's options: the shared run settings (engine::RunOptions —
 /// budgets, threads, reductions, coverage strategy, traces, checkpoints,
-/// worker processes) plus its own search order, local-step fusion and
-/// verdict knobs.  Under `symmetry` the
-/// explorer orbit-closes final configurations and evaluates the invariant
-/// at every orbit member of each visited representative; under
-/// `rf_quotient` final_configs holds one representative per merged class,
-/// so callers comparing runs compare outcomes, not raw final encodings.
+/// worker processes) plus its own verdict knobs.  Every final
+/// configuration is collected.  Under `symmetry` the explorer orbit-closes
+/// final configurations and evaluates the invariant at every orbit member of
+/// each visited representative; under `rf_quotient` final_configs holds one
+/// representative per merged class, so callers comparing runs compare
+/// outcomes, not raw final encodings.
 struct ExploreOptions : engine::RunOptions {
-  SearchStrategy strategy = SearchStrategy::Dfs;
-  /// Sound reduction for outcome-set exploration: when some thread's next
-  /// instruction is *local* (Assign / Branch / Jump — deterministic, no
-  /// memory effect), expand only that thread.  Local steps commute with all
-  /// other transitions and can never be disabled, so reachable final states
-  /// are preserved while intermediate interleavings are pruned; subsumed by
-  /// `por`.
-  bool fuse_local_steps = false;
   /// Viewfront entries to pin into the rf-quotient key: the invariant's
   /// view footprint (assertions::Assertion::footprint()), so its verdict is
   /// a function of the key.  Reject footprint-less invariants before
@@ -74,8 +52,6 @@ struct ExploreOptions : engine::RunOptions {
   engine::RfPins rf_pins;
   /// Stop at the first invariant violation (otherwise keep counting).
   bool stop_on_violation = true;
-  /// Keep a copy of every final configuration (needed for outcome sets).
-  bool collect_finals = true;
 };
 
 /// An invariant violation with an optional counterexample trace.
@@ -90,9 +66,9 @@ struct Violation {
 };
 
 struct ExploreResult {
-  ExploreStats stats;
-  /// Deduplicated (iff collect_finals) and sorted by canonical encoding, so
-  /// results compare equal across search strategies and thread counts.
+  engine::ExploreStats stats;
+  /// Deduplicated and sorted by canonical encoding, so results compare
+  /// equal across thread counts.
   std::vector<Config> final_configs;
   /// Sorted by (what, state_dump); identical modulo traces for any thread
   /// count when stop_on_violation is off.

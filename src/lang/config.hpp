@@ -182,8 +182,8 @@ void thread_successors(const System& sys, const Config& cfg, ThreadId t,
 
 /// The lowest-numbered thread whose next instruction is local — Assign,
 /// Branch or Jump: deterministic, no memory effect — or nullopt.  Expanding
-/// only that thread is the local-step fusion reduction
-/// (ExploreOptions::fuse_local_steps, witness minimisation).
+/// only that thread is the local-step fusion reduction witness minimisation
+/// searches under first.
 [[nodiscard]] std::optional<ThreadId> fusible_thread(const System& sys,
                                                      const Config& cfg);
 

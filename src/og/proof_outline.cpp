@@ -169,7 +169,7 @@ class OutlineDelegate final : public engine::DistDelegate {
   }
 
   bool absorb(const witness::Json& event, std::uint64_t id,
-              const explore::ShardedVisitedSet& /*sink*/) override {
+              const engine::ShardedVisitedSet& /*sink*/) override {
     const std::string& kind = event.at("kind").as_string();
     if (kind == "obls") {
       obligations += static_cast<std::uint64_t>(event.at("n").as_int());
@@ -305,10 +305,10 @@ TripleCheckResult check_triple(const System& sys, const Assertion& pre,
   // statement, so the full (unreduced) driver enumerates states and hands
   // each one its enabled steps — no private successor loop.
   TripleCheckResult result;
-  explore::ReachOptions ropts;
+  engine::ReachOptions ropts;
   ropts.budget.max_states = max_states;
   ropts.want_labels = true;  // failure messages cite the step label
-  (void)explore::visit_reachable(
+  (void)engine::visit_reachable(
       sys, ropts,
       [&](const Config& cfg, std::uint64_t /*id*/,
           std::span<const Step> steps) -> bool {

@@ -81,7 +81,7 @@ struct ObligationFailure {
 struct OutlineCheckResult {
   bool valid = true;
   std::vector<ObligationFailure> failures;
-  explore::ExploreStats stats;  ///< size of the examined state space
+  engine::ExploreStats stats;  ///< size of the examined state space
   std::uint64_t obligations_checked = 0;
   /// Why the enumeration ended; anything but Complete means only part of
   /// the state space was checked and `valid` is not a proof (a

@@ -264,11 +264,8 @@ RaceResult check(const System& sys, const RaceOptions& options) {
   };
   RaceDelegate delegate(traced, options, run);
 
-  const auto reach =
-      run.run(visitor, delegate,
-              {.rf_pins = {},  // race state is in the key (RaceOptions)
-               .strategy = options.strategy,
-               .fuse_local_steps = options.fuse_local_steps});
+  // No rf pins: race state is in the quotient key (see RaceOptions).
+  const auto reach = run.run(visitor, delegate);
 
   RaceResult result;
   result.stats = reach.stats;

@@ -61,9 +61,9 @@ using memsem::RaceRecord;
 [[nodiscard]] const char* access_name(RaceCat cat) noexcept;
 
 /// The race checker's options: the shared run settings (engine::RunOptions)
-/// plus its search order, local-step fusion and stop knob.  The *set* of reported races is identical for
-/// every thread count, worker count and reduction; only traces, state dumps
-/// and witness choice may differ between runs.  `rf_quotient` needs no
+/// plus its stop knob.  The *set* of reported races is identical for every
+/// thread count, worker count and reduction; only traces, state dumps and
+/// witness choice may differ between runs.  `rf_quotient` needs no
 /// pinning here: race clocks, summary cells and per-op messages are part of
 /// the quotient key whenever race_detection is on, and records surface on
 /// step post-states, which pair up class-by-class.  Under Strategy::Sample
@@ -71,9 +71,6 @@ using memsem::RaceRecord;
 /// only against a System whose SemanticsOptions::race_detection is true
 /// (the clocks are part of the state encoding the digests cover).
 struct RaceOptions : engine::RunOptions {
-  /// Search order and local-step fusion, as in explore::ExploreOptions.
-  engine::SearchStrategy strategy = engine::SearchStrategy::Dfs;
-  bool fuse_local_steps = false;
   /// Stop at the first race (default off: cross-checks compare full sets).
   bool stop_on_race = false;
 };

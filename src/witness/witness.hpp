@@ -18,10 +18,10 @@
 //     index.
 //   * Minimization: minimize() shrinks a trace before a human sees it — a
 //     BFS re-search restricted to the witness's touched states finds a
-//     shortest path through them (parallel DFS traces are rarely shortest),
-//     optionally under the fuse_local_steps reduction (local steps commute
-//     with every other transition, so forcing them to fire eagerly prunes
-//     interleavings without losing the target).
+//     shortest path through them (the driver's DFS traces are rarely
+//     shortest), first under local-step fusion (lang::fusible_thread: local
+//     steps commute with every other transition, so forcing them to fire
+//     eagerly prunes interleavings without losing the target).
 //
 // Witnesses are produced by the explorer (invariant violations), the
 // Owicki-Gries outline checker (failed obligations) and the refinement
@@ -126,22 +126,14 @@ struct ReplayResult {
 
 // --- minimization -----------------------------------------------------------
 
-struct MinimizeOptions {
-  /// BFS shortest path through the witness's touched states.
-  bool shortest_path = true;
-  /// Additionally restrict the re-search with the fuse_local_steps
-  /// reduction (sound: local steps commute and cannot be disabled).  Falls
-  /// back to the unfused search when the fused graph cannot reach the
-  /// target inside the touched set.
-  bool elide_local_steps = true;
-};
-
 /// Returns a witness for the same violating state with a minimal step
-/// sequence (never longer than the input).  The input must replay cleanly;
-/// otherwise it is returned unchanged.  The result replays cleanly by
-/// construction (the search runs on the real semantics).
-[[nodiscard]] Witness minimize(const lang::System& sys, const Witness& w,
-                               const MinimizeOptions& options = {});
+/// sequence (never longer than the input): a BFS shortest path through the
+/// witness's touched states, searched first under local-step fusion (sound:
+/// local steps commute and cannot be disabled) and, when the fused graph
+/// cannot reach the target inside the touched set, without it.  The input
+/// must replay cleanly; otherwise it is returned unchanged.  The result
+/// replays cleanly by construction (the search runs on the real semantics).
+[[nodiscard]] Witness minimize(const lang::System& sys, const Witness& w);
 
 // --- rendering --------------------------------------------------------------
 

@@ -394,7 +394,6 @@ TEST(Checkpoint, ResumeCanChangeThreadCountAndStrategy) {
   const auto ckpt = engine::load_checkpoint(ck.path);
   ExploreOptions resume_opts;
   resume_opts.num_threads = 4;  // checkpointed sequentially, resumed parallel
-  resume_opts.strategy = explore::SearchStrategy::Bfs;
   resume_opts.resume = &ckpt;
   const auto resumed = explore::explore(program.sys, resume_opts);
   EXPECT_EQ(resumed.stop, StopReason::Complete);

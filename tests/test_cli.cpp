@@ -1,6 +1,7 @@
-// End-to-end tests of the command-line tools (rc11-run, rc11-refine) against
-// the sample programs in tools/programs/, driven through std::system.  Paths
-// are injected by CMake compile definitions.
+// End-to-end tests of the command-line tools (rc11-run, rc11-verify,
+// rc11-race, rc11-refine) against the sample programs in tools/programs/,
+// driven through std::system.  Paths are injected by CMake compile
+// definitions.
 
 #include <gtest/gtest.h>
 
@@ -119,6 +120,83 @@ TEST(Cli, RefineTruncatedPairIsInconclusive) {
   EXPECT_NE(out.find("memory budget"), std::string::npos) << out;
   EXPECT_EQ(run(bin("rc11-refine") + " --trace-only --max-states 10" + pair),
             3);
+}
+
+// rc11-refine loads a --resume checkpoint and then rejects it (a refinement
+// check builds two graphs): the "resuming from" narration must not claim
+// the resume happened.
+TEST(Cli, RefineResumeIsRejectedWithoutNarration) {
+  const std::string ck = tmp_path("refine_resume.json");
+  EXPECT_EQ(run(bin("rc11-run") + " --max-states 5 --checkpoint " + ck + " " +
+                prog("lock_client_abstract.rc11")),
+            3);
+  ASSERT_TRUE(std::ifstream(ck).good());
+  std::string out;
+  EXPECT_EQ(run(bin("rc11-refine") + " --resume " + ck + " " +
+                    prog("lock_client_abstract.rc11") + " " +
+                    prog("lock_client_seqlock.rc11"),
+                &out),
+            1);
+  EXPECT_NE(out.find("--checkpoint/--resume are not supported here"),
+            std::string::npos)
+      << out;
+  EXPECT_EQ(out.find("resuming from"), std::string::npos) << out;
+  unlink(ck.c_str());
+}
+
+// Every combination rule engine::unsupported_combination states, on each of
+// the four tools: exit 1 before the program is parsed, with the engine's
+// one wording, and no checkpoint file written.
+TEST(Cli, CombinationRulesRejectedOnEveryTool) {
+  const std::string ck = tmp_path("rule.ckpt.json");
+  const std::string sample_quotient =
+      " cannot be combined with --strategy sample: the sampling strategy "
+      "replays concrete schedules and cannot quotient states (drop one of "
+      "the two)";
+  const struct {
+    std::string flags;
+    std::string message;
+  } rules[] = {
+      {"--strategy sample:10 --por --checkpoint " + ck,
+       "--por cannot be combined with --strategy sample; pick one coverage "
+       "strategy"},
+      {"--strategy sample:10 --symmetry --checkpoint " + ck,
+       "--symmetry" + sample_quotient},
+      {"--strategy sample:10 --rf-quotient --checkpoint " + ck,
+       "--rf-quotient" + sample_quotient},
+      {"--symmetry --rf-quotient --checkpoint " + ck,
+       "--symmetry and --rf-quotient cannot be combined: the engine cannot "
+       "transport sleep masks through two state quotients at once — pick "
+       "one reduction"},
+      {"--strategy sample:10 --checkpoint " + ck,
+       "--checkpoint is not supported under --strategy sample: a sampling "
+       "run has no frontier to save"},
+      {"--strategy sample:10 --resume " + ck,
+       "--resume is not supported under --strategy sample: a sampling run "
+       "has no frontier to continue from (re-run with a fresh seed "
+       "instead)"},
+  };
+  const struct {
+    const char* tool;
+    std::string programs;
+  } tools[] = {
+      {"rc11-run", prog("sb.rc11")},
+      {"rc11-race", prog("sb.rc11")},
+      {"rc11-verify", prog("mp_verified.rc11")},
+      {"rc11-refine", prog("lock_client_abstract.rc11") + " " +
+                          prog("lock_client_seqlock.rc11")},
+  };
+  for (const auto& tool : tools) {
+    for (const auto& rule : rules) {
+      const std::string cmd =
+          bin(tool.tool) + " " + rule.flags + " " + tool.programs;
+      std::string out;
+      EXPECT_EQ(run(cmd, &out), 1) << cmd;
+      EXPECT_EQ(out, std::string(tool.tool) + ": " + rule.message + "\n")
+          << cmd;
+      EXPECT_FALSE(std::ifstream(ck).good()) << cmd;
+    }
+  }
 }
 
 TEST(Cli, TicketLockSampleSerialises) {

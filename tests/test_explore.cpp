@@ -258,24 +258,7 @@ INSTANTIATE_TEST_SUITE_P(AllCausality, CausalitySuite, ::testing::Range(0, 4),
                          });
 
 
-// --- search strategy & DOT export --------------------------------------------
-
-TEST(Explorer, BfsAndDfsVisitTheSameStates) {
-  for (auto& t : litmus::all_tests()) {
-    ExploreOptions dfs;
-    dfs.strategy = explore::SearchStrategy::Dfs;
-    ExploreOptions bfs;
-    bfs.strategy = explore::SearchStrategy::Bfs;
-    const auto rd = explore(t.sys, dfs);
-    const auto rb = explore(t.sys, bfs);
-    EXPECT_EQ(rd.stats.states, rb.stats.states) << t.name;
-    EXPECT_EQ(rd.stats.transitions, rb.stats.transitions) << t.name;
-    EXPECT_EQ(rd.stats.finals, rb.stats.finals) << t.name;
-    EXPECT_EQ(explore::final_register_values(t.sys, rd, t.observed),
-              explore::final_register_values(t.sys, rb, t.observed))
-        << t.name;
-  }
-}
+// --- DOT export -------------------------------------------------------------
 
 TEST(DotExport, ProducesWellFormedGraph) {
   auto t = litmus::mp_release_acquire();
@@ -346,40 +329,6 @@ TEST(Explorer, ConsistentLockOrderHasNoDeadlock) {
   const auto result = explore(sys);
   EXPECT_EQ(result.stats.blocked, 0u);
   EXPECT_GT(result.stats.finals, 0u);
-}
-
-
-TEST(Reduction, LocalStepFusionPreservesOutcomes) {
-  for (auto& t : litmus::all_tests()) {
-    const auto full = explore(t.sys);
-    ExploreOptions opts;
-    opts.fuse_local_steps = true;
-    const auto fused = explore(t.sys, opts);
-    EXPECT_EQ(explore::final_register_values(t.sys, fused, t.observed),
-              t.allowed)
-        << t.name;
-    EXPECT_LE(fused.stats.states, full.stats.states) << t.name;
-    EXPECT_EQ(fused.stats.finals > 0, full.stats.finals > 0) << t.name;
-  }
-}
-
-TEST(Reduction, FusionShrinksLoopHeavyStateSpaces) {
-  // The seqlock client is full of Branch/Assign steps: fusion must prune a
-  // meaningful fraction of intermediate interleavings.
-  rc11::locks::SeqLock lock;
-  const auto sys =
-      rc11::locks::instantiate(rc11::locks::fig7_client(), lock);
-  const auto full = explore(sys);
-  ExploreOptions opts;
-  opts.fuse_local_steps = true;
-  const auto fused = explore(sys, opts);
-  EXPECT_LT(fused.stats.states, full.stats.states);
-  // Outcomes (via final configs) must agree.
-  const auto x1 = explore::final_register_values(
-      sys, full, {lang::Reg{1, 1}, lang::Reg{1, 2}});
-  const auto x2 = explore::final_register_values(
-      sys, fused, {lang::Reg{1, 1}, lang::Reg{1, 2}});
-  EXPECT_EQ(x1, x2);
 }
 
 }  // namespace

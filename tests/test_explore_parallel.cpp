@@ -110,35 +110,9 @@ TEST(ParallelExplore, LitmusSuiteOutcomeSetsIdentical) {
   }
 }
 
-TEST(ParallelExplore, FuseLocalStepsMatchesToo) {
-  const auto program = parser::parse_file(prog("ticket_lock.rc11"));
-  const auto regs = all_regs(program.sys);
-  ExploreOptions opts;
-  opts.fuse_local_steps = true;
-  opts.num_threads = 1;
-  const auto baseline = explore::explore(program.sys, opts);
-  opts.num_threads = 8;
-  const auto parallel = explore::explore(program.sys, opts);
-  EXPECT_EQ(parallel.stats.states, baseline.stats.states);
-  EXPECT_EQ(explore::final_register_values(program.sys, parallel, regs),
-            explore::final_register_values(program.sys, baseline, regs));
-}
-
-TEST(ParallelExplore, BfsStrategyMatchesToo) {
-  const auto program = parser::parse_file(prog("mp_stack.rc11"));
-  ExploreOptions opts;
-  opts.strategy = explore::SearchStrategy::Bfs;
-  opts.num_threads = 1;
-  const auto baseline = explore::explore(program.sys, opts);
-  opts.num_threads = 8;
-  const auto parallel = explore::explore(program.sys, opts);
-  EXPECT_EQ(parallel.stats.states, baseline.stats.states);
-  EXPECT_EQ(final_encodings(parallel), final_encodings(baseline));
-}
-
 // Every path through the in-process driver reaches the same states at every
 // worker count: plain, traced, POR with and without a trace sink, each
-// quotient with sleep sets, sleep sets alone, and BFS.  A quotient visits
+// quotient with sleep sets, and sleep sets alone.  A quotient visits
 // one member of each class, and which one depends on the schedule, so
 // finals are compared by the path's abstract key.  The counters that depend
 // on which arrival wins a race (por_chained under a trace sink, sleep skips,
@@ -150,7 +124,6 @@ struct DriverPath {
   bool symmetry = false;
   bool rf_quotient = false;
   bool sleep = false;
-  bool bfs = false;
 };
 
 const DriverPath kDriverPaths[] = {
@@ -161,7 +134,6 @@ const DriverPath kDriverPaths[] = {
     {.name = "symmetry+sleep", .symmetry = true, .sleep = true},
     {.name = "rf_quotient+sleep", .rf_quotient = true, .sleep = true},
     {.name = "sleep", .sleep = true},
-    {.name = "bfs", .bfs = true},
 };
 
 struct DriverRun {
@@ -177,8 +149,6 @@ DriverRun run_driver(const System& sys, const DriverPath& path,
   opts.symmetry = path.symmetry;
   opts.rf_quotient = path.rf_quotient;
   opts.sleep_sets = path.sleep;
-  opts.strategy =
-      path.bfs ? engine::SearchStrategy::Bfs : engine::SearchStrategy::Dfs;
   std::optional<engine::ShardedVisitedSet> sink;
   if (path.traced) opts.trace = &sink.emplace();
   const std::unique_ptr<engine::StateAbstraction> abs =

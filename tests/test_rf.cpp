@@ -337,8 +337,9 @@ TEST(Rf, RejectedUnderSampling) {
 
 TEST(Rf, RejectedWithSymmetry) {
   // v1 restriction: sleep masks cannot be transported through both
-  // quotients at once, so the combination is rejected loudly (the CLIs
-  // catch it in resolve_strategy, the engine backstops it here).
+  // quotients at once, so the combination is rejected loudly by
+  // engine::unsupported_combination, the one rule the library and the CLIs
+  // (before parsing) both apply.
   locks::TicketLock ticket;
   const auto sys = locks::instantiate(locks::worker_client(2, 1, 2), ticket);
   ExploreOptions opts;

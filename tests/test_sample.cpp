@@ -149,6 +149,45 @@ TEST(Sample, FullBudgetStopsWithEpisodeCap) {
   EXPECT_EQ(result.stats.episodes, 5u);
 }
 
+// No schedule of these programs ever reaches a final or blocked state, so
+// every episode runs until kDefaultEpisodeStepCap abandons it.  The counter
+// has one schedule whose states are all distinct: the first episode visits
+// exactly kDefaultEpisodeStepCap of them (the initial state plus every state
+// but the last one reached), and the later episodes retrace it.
+TEST(Sample, EpisodesAreAbandonedAtTheStepCap) {
+  const auto counter = parser::parse_program(R"(
+    thread t1 {
+      reg n;
+      while (n >= 0) { n := n + 1; }
+    }
+  )");
+  auto result = explore::explore(counter.sys, sample_opts(3, 0));
+  EXPECT_EQ(result.stop, StopReason::EpisodeCap);
+  EXPECT_EQ(result.stats.episodes, 3u);
+  EXPECT_EQ(result.stats.states, engine::kDefaultEpisodeStepCap);
+  EXPECT_EQ(result.stats.transitions, engine::kDefaultEpisodeStepCap);
+  EXPECT_EQ(result.stats.finals + result.stats.blocked, 0u);
+
+  // Two threads spinning on flags nobody sets: every schedule spins.
+  const auto spin = parser::parse_program(R"(
+    var x = 0;
+    var y = 0;
+    thread t1 {
+      reg a;
+      do { a <-A x; } until (a == 1);
+    }
+    thread t2 {
+      reg b;
+      do { b <-A y; } until (b == 1);
+    }
+  )");
+  result = explore::explore(spin.sys, sample_opts(4, 7));
+  EXPECT_EQ(result.stop, StopReason::EpisodeCap);
+  EXPECT_EQ(result.stats.episodes, 4u);
+  EXPECT_GT(result.stats.states, 0u);
+  EXPECT_EQ(result.stats.finals + result.stats.blocked, 0u);
+}
+
 TEST(Sample, StateCapWinsOverEpisodeCap) {
   const auto program = parser::parse_file(prog("ticket_worker.rc11"));
   ExploreOptions opts = sample_opts(1000, 0);

@@ -326,8 +326,8 @@ TEST(Symmetry, ResumeMismatchMessageNamesTheSetting) {
 
 TEST(Symmetry, RejectedUnderSampling) {
   // Sampling replays concrete schedules and cannot quotient states; the
-  // combination is rejected loudly (the CLIs catch it in resolve_strategy,
-  // the engine backstops it for library users).
+  // combination is rejected loudly by engine::unsupported_combination, the
+  // one rule the library and the CLIs (before parsing) both apply.
   locks::TicketLock ticket;
   const auto sys = locks::instantiate(locks::worker_client(2, 1, 2), ticket);
   ExploreOptions opts;

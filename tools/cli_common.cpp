@@ -4,28 +4,9 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <utility>
 
 namespace rc11::cli {
-
-// The single source of truth for the sound state-space reductions.  A new
-// reduction needs exactly one row here (plus its engine plumbing): parsing,
-// the sampling conflicts and the mutual exclusions all follow from the table.
-const ReductionFlag kReductionFlags[kNumReductionFlags] = {
-    {"--por", &CommonOptions::por, /*checkpoint_pinned=*/true,
-     "--por cannot be combined with --strategy sample; pick one coverage "
-     "strategy",
-     nullptr},
-    {"--symmetry", &CommonOptions::symmetry, /*checkpoint_pinned=*/true,
-     "--symmetry cannot be combined with --strategy sample: the sampling "
-     "strategy replays concrete schedules and cannot quotient states (drop "
-     "one of the two)",
-     nullptr},
-    {"--rf-quotient", &CommonOptions::rf_quotient, /*checkpoint_pinned=*/true,
-     "--rf-quotient cannot be combined with --strategy sample: the sampling "
-     "strategy replays concrete schedules and cannot quotient states (drop "
-     "one of the two)",
-     "--symmetry"},
-};
 
 namespace {
 
@@ -87,9 +68,14 @@ FlagStatus parse_common_flag(int argc, char** argv, int& i,
                ? FlagStatus::Consumed
                : FlagStatus::Error;
   }
-  for (const auto& rf : kReductionFlags) {
-    if (arg == rf.flag) {
-      out.*rf.member = true;
+  // The reductions; which of them combine is engine::unsupported_combination's
+  // rule, applied by resolve_strategy.
+  for (const auto& [flag, member] :
+       {std::pair{"--por", &CommonOptions::por},
+        std::pair{"--symmetry", &CommonOptions::symmetry},
+        std::pair{"--rf-quotient", &CommonOptions::rf_quotient}}) {
+    if (arg == flag) {
+      out.*member = true;
       return FlagStatus::Consumed;
     }
   }
@@ -143,51 +129,30 @@ std::string resolve_strategy(const CommonOptions& opts) {
   if (opts.strategy_flags > 1) {
     return "--strategy given more than once; pick one coverage strategy";
   }
-  // Mutual exclusions between reductions hold under every strategy.
-  for (const auto& rf : kReductionFlags) {
-    if (rf.excludes == nullptr || !(opts.*rf.member)) continue;
-    for (const auto& other : kReductionFlags) {
-      if (std::string{rf.excludes} == other.flag && opts.*other.member) {
-        return std::string{other.flag} + " and " + rf.flag +
-               " cannot be combined: the engine cannot transport sleep "
-               "masks through two state quotients at once — pick one "
-               "reduction";
-      }
-    }
+  std::string conflict = engine::unsupported_combination(
+      opts.mode, opts.por, opts.symmetry, opts.rf_quotient,
+      !opts.checkpoint_path.empty(), !opts.resume_path.empty());
+  if (conflict.empty() && opts.seed_set &&
+      opts.mode != engine::Strategy::Sample) {
+    conflict = "--seed only applies to --strategy sample";
   }
-  if (opts.mode == engine::Strategy::Sample) {
-    for (const auto& rf : kReductionFlags) {
-      if (opts.*rf.member && rf.sample_conflict != nullptr) {
-        return rf.sample_conflict;
-      }
-    }
-    if (!opts.checkpoint_path.empty()) {
-      return "--checkpoint is not supported under --strategy sample: a "
-             "sampling run has no frontier to save";
-    }
-    if (!opts.resume_path.empty()) {
-      return "--resume is not supported under --strategy sample: a sampling "
-             "run has no frontier to continue from (re-run with a fresh "
-             "--seed instead)";
-    }
-    return {};
-  }
-  if (opts.seed_set) {
-    return "--seed only applies to --strategy sample";
-  }
-  return {};
+  return conflict;
 }
 
 void arm_run(CommonOptions& opts, std::optional<engine::Checkpoint>& resume) {
   if (!opts.resume_path.empty()) {
     resume = engine::load_checkpoint(opts.resume_path);
-    std::cout << "resuming from " << opts.resume_path << " ("
-              << resume->states.size() << " state(s), stopped: "
-              << engine::to_string(resume->stop) << ")\n";
     opts.resume = &*resume;
   }
   opts.cancel = install_signal_cancel();
   opts.fault = engine::FaultPlan::from_env();
+}
+
+void narrate_resume(const CommonOptions& opts) {
+  if (opts.resume == nullptr) return;
+  std::cout << "resuming from " << opts.resume_path << " ("
+            << opts.resume->states.size() << " state(s), stopped: "
+            << engine::to_string(opts.resume->stop) << ")\n";
 }
 
 void set_strategy_json(witness::Json& summary, const CommonOptions& opts) {

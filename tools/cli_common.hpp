@@ -9,7 +9,6 @@
 #pragma once
 
 #include <charconv>
-#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -69,31 +68,6 @@ inline constexpr const char* kCommonUsage =
     "[--deadline-ms MS] [--mem-budget BYTES[K|M|G]] [--checkpoint FILE] "
     "[--resume FILE]";
 
-/// One sound state-space reduction flag, with every cross-cutting rule the
-/// CLI layer enforces about it.  The three reductions used to be parsed and
-/// validated by hand-written per-flag branches that drifted as flags were
-/// added; this table is now the single source of truth — parse_common_flag
-/// consumes any entry's `flag`, and resolve_strategy applies the
-/// `sample_conflict` and `excludes` rules uniformly.  Engine-side rules the
-/// table documents but the engine enforces (with the same vocabulary):
-/// flags with `checkpoint_pinned` are recorded in every checkpoint and a
-/// --resume run must pass the identical setting.
-struct ReductionFlag {
-  const char* flag;             ///< the command-line spelling ("--por")
-  bool CommonOptions::*member;  ///< the option the flag sets
-  bool checkpoint_pinned;       ///< recorded in checkpoints; resume must match
-  /// Error message under --strategy sample, or nullptr when the reduction
-  /// composes with sampling.
-  const char* sample_conflict;
-  /// Spelling of a mutually exclusive reduction flag, or nullptr.  The
-  /// exclusion is symmetric; one direction in the table suffices.
-  const char* excludes;
-};
-
-/// The reduction-flag table: --por, --symmetry, --rf-quotient.
-inline constexpr std::size_t kNumReductionFlags = 3;
-extern const ReductionFlag kReductionFlags[kNumReductionFlags];
-
 /// Byte-count parse for --mem-budget: a whole number with an optional
 /// binary-unit suffix (K, M or G, case-insensitive).  Rejects overflow.
 [[nodiscard]] bool parse_bytes(const std::string& s, std::uint64_t& out);
@@ -109,19 +83,24 @@ enum class FlagStatus : std::uint8_t {
 [[nodiscard]] FlagStatus parse_common_flag(int argc, char** argv, int& i,
                                            CommonOptions& out);
 
-/// Post-parse conflict checking for the reduction and coverage-strategy
-/// flags: rejects a repeated --strategy, mutually exclusive reductions and
-/// the combinations sampling cannot honour (a reduction + --strategy sample, --seed without
-/// sampling, and --checkpoint/--resume under sampling — a sampling run has
-/// no frontier).  Returns an error message for the user, or an empty string
-/// when the options are consistent.
+/// Post-parse conflict checking, before the program is parsed: rejects a
+/// repeated --strategy, the combinations engine::unsupported_combination
+/// names (mutually exclusive reductions, and a reduction, --checkpoint or
+/// --resume under sampling) and --seed without sampling.  Returns an error
+/// message for the user, or an empty string when the options are
+/// consistent.
 [[nodiscard]] std::string resolve_strategy(const CommonOptions& opts);
 
 /// Fills the run settings no flag carries: loads the --resume checkpoint
-/// into `resume` (narrating it) and points `opts.resume` at it, installs the
-/// SIGINT/SIGTERM cancellation token and reads RC11_FAULT.  Throws
-/// support::Error on an unreadable checkpoint.
+/// into `resume` and points `opts.resume` at it, installs the SIGINT/SIGTERM
+/// cancellation token and reads RC11_FAULT.  Throws support::Error on an
+/// unreadable checkpoint.
 void arm_run(CommonOptions& opts, std::optional<engine::Checkpoint>& resume);
+
+/// Narrates the checkpoint a run resumed from (nothing without --resume).
+/// The tools call it once the checker has returned, so a checker that
+/// rejects the combination never claims to have resumed.
+void narrate_resume(const CommonOptions& opts);
 
 /// Adds the run's coverage strategy ("exhaustive", "por" or "sample") and,
 /// when sampling, its seed to a --json summary.

@@ -208,6 +208,7 @@ int main(int argc, char** argv) {
     const double wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
+    cli::narrate_resume(common);
     std::cout << "states:      " << result.stats.states << "\n"
               << "transitions: " << result.stats.transitions << "\n"
               << "finals:      " << result.stats.finals << "\n"

@@ -142,6 +142,7 @@ int main(int argc, char** argv) {
     const double wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
+    cli::narrate_resume(common);
     std::cout << "states explored:     " << result.stats.states << "\n"
               << "obligations checked: " << result.obligations_checked << "\n";
     if (common.stats) {
