@@ -20,8 +20,8 @@
 //   * FaultPlan   — deterministic fault injection (env RC11_FAULT) used by
 //                   the robustness tests and CI to prove every degradation
 //                   path reports its StopReason and never deadlocks.
-//   * BudgetEnforcer — the hot-path check itself, shared by the sequential
-//                   and parallel drivers: one relaxed atomic increment and a
+//   * BudgetEnforcer — the hot-path check itself, run by every worker of the
+//                   reachability pool: one relaxed atomic increment and a
 //                   couple of predictable branches per state; the expensive
 //                   probes (steady_clock::now, visited-set bytes) run every
 //                   kBudgetCheckInterval claims only.
@@ -192,7 +192,7 @@ inline constexpr std::uint64_t kDeadlineUrgentWindowMs = 50;
 /// delay the Deadline decision past one slice.
 inline constexpr std::uint64_t kStallSliceMs = 5;
 
-/// The per-state gate both reachability drivers run: claim() is called once
+/// The per-state gate the pool and the sampler run: claim() is called once
 /// per state about to be expanded and returns Complete to proceed or the
 /// sticky reason to stop.  Thread-safe; the first non-Complete decision
 /// wins, every later claim returns it immediately (so draining workers bail

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <condition_variable>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -188,19 +188,16 @@ bool collapse_traced(const TransitionSystem& ts, ShardedVisitedSet& sink,
 
 // --- one expansion step ------------------------------------------------------
 
-/// One worker's expansion step, shared by both drivers: sequential_reach
-/// runs one Expander over the lock-free sets, parallel_reach one per pool
-/// worker over the sharded ones.  For a claimed frontier item it runs
-/// expand_steps, counts the state into its own ExploreStats (summed by the
-/// pool after join), calls the visitor and routes the successors: through
-/// the plain loop (untraced, traced, POR chain collapse) or, when a
-/// reduction is active, through process_steps_reduced.  Every successor to
-/// enqueue goes to the caller's push target.  Nothing here depends on which
-/// driver runs it: the drivers differ only in the two set types and the
-/// push target.  Cache-line aligned: the pool's expanders sit side by side,
-/// and each one writes its counters once per state.
+/// One pool worker's expansion step, over the lock-free sets when the pool
+/// has one worker and the sharded ones otherwise.  For a claimed frontier
+/// item it runs expand_steps, counts the state into its own ExploreStats
+/// (summed by the pool after join), calls the visitor and routes the
+/// successors: through the plain loop (untraced, traced, POR chain
+/// collapse) or, when a reduction is active, through process_steps_reduced.
+/// Every successor to enqueue goes to the caller's push target, the
+/// worker's own stack.  Each worker builds its own, in its own frame.
 template <typename Visited, typename Canon>
-class alignas(64) Expander {
+class Expander {
  public:
   /// `abs` is the run's abstraction (null on the plain paths); the expander
   /// keys with its own clone, because key() reuses mutable scratch.
@@ -296,8 +293,8 @@ class alignas(64) Expander {
   /// orbit or execution-graph quotient) and/or sleep sets — is active.
   /// Differences from the plain path:
   ///
-  ///   * Membership is decided in the canonical set (SeqMaskedSet
-  ///     sequentially, a dedicated ShardedVisitedSet in parallel), keyed by
+  ///   * Membership is decided in the canonical set (SeqMaskedSet for one
+  ///     worker, a dedicated ShardedVisitedSet for more), keyed by
   ///     the abstraction's abstract key (the concrete encoding for the
   ///     identity abstraction of the sleep-only path), with per-state sleep
   ///     masks (all zero when sleep sets are off).
@@ -462,8 +459,10 @@ class alignas(64) Expander {
   std::array<lang::StepMeta, 64> meta_{};
 };
 
-/// Adds one worker's counters into the pool's total.
+/// Merges one worker's counters into the pool's total: sums, except the
+/// peak frontier, which is the largest backlog any one worker held.
 void add_counts(ExploreStats& total, const ExploreStats& part) {
+  total.peak_frontier = std::max(total.peak_frontier, part.peak_frontier);
   total.states += part.states;
   total.transitions += part.transitions;
   total.finals += part.finals;
@@ -475,165 +474,132 @@ void add_counts(ExploreStats& total, const ExploreStats& part) {
   total.sleep_set_skips += part.sleep_set_skips;
 }
 
-// --- parallel reachability engine -------------------------------------------
+// --- the worker pool ---------------------------------------------------------
 
-/// Shared frontier of the worker pool: one deque behind one mutex, popped
-/// and pushed in batches.  The design bets that state *expansion*
-/// (successor computation + canonical encoding) dominates queue traffic so
-/// that the lock stays cold; that bet is unmeasured until the phase profile
-/// places the pool's time.  The visited set, where every generated
-/// successor lands, is the known contended structure — and that one is
-/// sharded (see sharded_visited.hpp).
-struct SharedFrontier {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<Frontier> items;
-  unsigned working = 0;  ///< workers currently expanding a batch
-  bool stop = false;     ///< cooperative stop (visitor veto or truncation)
-  std::uint64_t max_size = 0;
-};
-
-ReachResult parallel_reach(const TransitionSystem& ts,
-                           const ReachOptions& options,
-                           const StateVisitor& visitor,
-                           const StateAbstraction* abs, bool sleep,
-                           unsigned workers) {
-  // The plain untraced paths' visited set.  A trace sink replaces it, so
-  // parent recording and the once-only insert decision are one atomic step.
-  ShardedVisitedSet visited;
-  // The reduced paths' visited set: canonical orbit encodings (or masked
-  // concrete ones under sleep-only) with per-state sleep masks.  Doubles as
-  // *the* visited set in untraced reduced runs; traced runs keep the sink
-  // concrete and use this as the expansion-ownership side set.
-  ShardedVisitedSet canon;
+/// The reachability driver.  Each of `workers` threads pops the newest entry
+/// of its own private stack and pushes the successors back onto it, taking
+/// no lock.  A worker that runs dry registers as idle under the one mutex
+/// and waits for the hand-off deque; a busy worker that sees `hungry` after
+/// an expansion moves the oldest half of its stack there.  The run ends when
+/// every worker is idle with the hand-off deque empty, or when a budget stop
+/// or a visitor veto raises `stop`.  States left on any stack stay interned
+/// and marked enqueued, so a checkpoint still covers them.
+///
+/// One worker is the sequential search: the seed goes onto worker 0's
+/// stack, nothing ever registers idle and no lock is taken, so states are
+/// claimed, expanded and (in a trace sink) numbered in one fixed order.
+template <typename Visited, typename Canon>
+ReachResult pool_reach(const TransitionSystem& ts, const ReachOptions& options,
+                       const StateVisitor& visitor,
+                       const StateAbstraction* abs, bool sleep,
+                       unsigned workers) {
+  // The plain untraced paths' visited set; a trace sink replaces it, so
+  // parent recording and the once-only insert decision are one step.
+  Visited visited;
+  // The reduced paths' visited set, keyed by abstract key with per-state
+  // sleep masks: *the* visited set of untraced reduced runs, and the
+  // expansion-ownership side set of traced ones (the sink stays concrete).
+  Canon canon;
   const bool reduced = abs != nullptr;
-  // Every popped state claims one index from the budget enforcer; claims
-  // beyond a limit mark the stop reason instead of being expanded.  This is
-  // the cooperative-parallel analogue of the sequential pre-pop bound check.
+  // Every popped state claims one index; a claim beyond a limit records the
+  // stop reason instead of being expanded.
   BudgetEnforcer enforcer(options.budget, options.cancel, options.fault, [&] {
     return sum_visited_bytes(options, reduced, visited, canon);
   });
-  SharedFrontier frontier;
-  seed_frontier(ts, options, abs, visited, canon, frontier.items);
-  frontier.max_size = frontier.items.size();
+  std::deque<Frontier> seed;
+  seed_frontier(ts, options, abs, visited, canon, seed);
+  std::vector<ExploreStats> parts(workers);  // each worker's, merged at join
 
-  constexpr std::size_t kMaxBatch = 32;
-  using PoolExpander = Expander<ShardedVisitedSet, ShardedVisitedSet>;
-  std::deque<PoolExpander> expanders;
-  for (unsigned w = 0; w < workers; ++w) {
-    expanders.emplace_back(ts, options, visitor, abs, sleep, visited, canon);
-  }
+  std::mutex mu;
+  std::condition_variable cv;
+  std::deque<Frontier> handoff;  // guarded by mu
+  unsigned idle = 0;             // guarded by mu
+  // Some worker is idle and the hand-off deque is empty.  Written under mu;
+  // busy workers read it without the lock.
+  std::atomic<bool> hungry{false};
+  std::atomic<bool> stop{false};
 
-  const auto worker = [&](PoolExpander& expander) {
-    std::vector<Frontier> batch;
-    std::vector<Frontier> discovered;
-    const auto push = [&](Frontier&& f) { discovered.push_back(std::move(f)); };
-    for (;;) {
-      batch.clear();
-      {
-        std::unique_lock<std::mutex> lock(frontier.mu);
-        frontier.cv.wait(lock, [&] {
-          return frontier.stop || !frontier.items.empty() ||
-                 frontier.working == 0;
-        });
-        if (frontier.stop || (frontier.items.empty() && frontier.working == 0)) {
-          frontier.cv.notify_all();
-          return;
-        }
-        // Leave work for idle peers: take at most a 1/workers share.
-        const std::size_t take = std::min(
-            kMaxBatch,
-            std::max<std::size_t>(1, frontier.items.size() / workers));
-        for (std::size_t i = 0; i < take && !frontier.items.empty(); ++i) {
-          batch.push_back(std::move(frontier.items.back()));
-          frontier.items.pop_back();
-        }
-        frontier.working += 1;
+  const auto halt = [&] {
+    stop.store(true, std::memory_order_relaxed);
+    if (workers == 1) return;  // nobody waits
+    // Under the lock, so no waiter can miss the flag between check and wait.
+    std::lock_guard<std::mutex> lock(mu);
+    cv.notify_all();
+  };
+  // Waits idle until the hand-off deque has work and takes this worker's
+  // share of it; false once the run is over.
+  const auto refill = [&](std::deque<Frontier>& stack) {
+    std::unique_lock<std::mutex> lock(mu);
+    idle += 1;
+    while (handoff.empty()) {
+      if (stop.load(std::memory_order_relaxed) || idle == workers) {
+        cv.notify_all();
+        return false;
       }
-
-      discovered.clear();
-      bool request_stop = false;
-      for (Frontier& item : batch) {
-        // A revisit consumes no state claim.  Once the enforcer stops the
-        // run, the rest of the batch is dropped unexpanded; those states
-        // stay recoverable through a checkpoint (they are interned and
-        // marked enqueued, and resume re-expands every enqueued state).
-        const StopReason gate =
-            item.revisit ? enforcer.probe() : enforcer.claim();
-        if (gate != StopReason::Complete || !expander.expand(item, push)) {
-          request_stop = true;
-          break;
-        }
-      }
-
-      {
-        std::lock_guard<std::mutex> lock(frontier.mu);
-        frontier.working -= 1;
-        if (request_stop) frontier.stop = true;
-        for (auto& item : discovered) {
-          frontier.items.push_back(std::move(item));
-        }
-        frontier.max_size =
-            std::max<std::uint64_t>(frontier.max_size, frontier.items.size());
-      }
-      frontier.cv.notify_all();
+      hungry.store(true, std::memory_order_relaxed);
+      cv.wait(lock);
     }
+    for (std::size_t n = (handoff.size() + idle - 1) / idle; n > 0; --n) {
+      stack.push_back(std::move(handoff.front()));
+      handoff.pop_front();
+    }
+    idle -= 1;
+    hungry.store(idle > 0 && handoff.empty(), std::memory_order_relaxed);
+    return true;
+  };
+  const auto donate = [&](std::deque<Frontier>& stack) {
+    std::lock_guard<std::mutex> lock(mu);
+    if (!hungry.load(std::memory_order_relaxed)) return;  // fed already
+    for (std::size_t n = stack.size() / 2; n > 0; --n) {
+      handoff.push_back(std::move(stack.front()));
+      stack.pop_front();
+    }
+    hungry.store(false, std::memory_order_relaxed);
+    cv.notify_all();
+  };
+
+  const auto worker = [&](unsigned w, std::deque<Frontier> stack) {
+    Expander<Visited, Canon> expander(ts, options, visitor, abs, sleep,
+                                      visited, canon);
+    const auto push = [&](Frontier&& f) { stack.push_back(std::move(f)); };
+    std::uint64_t peak = 0;
+    while (!stack.empty() || (workers > 1 && refill(stack))) {
+      if (stop.load(std::memory_order_relaxed)) break;
+      // A revisit consumes no state claim.
+      if (const StopReason gate = stack.back().revisit ? enforcer.probe()
+                                                       : enforcer.claim();
+          gate != StopReason::Complete) {
+        halt();
+        break;
+      }
+      peak = std::max<std::uint64_t>(peak, stack.size());
+      Frontier item = std::move(stack.back());
+      stack.pop_back();
+      if (!expander.expand(item, push)) {
+        halt();
+        break;
+      }
+      if (hungry.load(std::memory_order_relaxed) && stack.size() > 1) {
+        donate(stack);
+      }
+    }
+    parts[w] = expander.stats();
+    parts[w].peak_frontier = peak;
   };
 
   std::vector<std::thread> pool;
   pool.reserve(workers - 1);
   for (unsigned w = 1; w < workers; ++w) {
-    pool.emplace_back(worker, std::ref(expanders[w]));
+    pool.emplace_back(worker, w, std::deque<Frontier>{});
   }
-  worker(expanders[0]);
+  worker(0, std::move(seed));
   for (auto& t : pool) t.join();
 
   ReachResult result;
-  for (const PoolExpander& expander : expanders) {
-    add_counts(result.stats, expander.stats());
-  }
-  result.stats.peak_frontier = frontier.max_size;
+  for (const ExploreStats& part : parts) add_counts(result.stats, part);
   result.stats.visited_bytes =
       sum_visited_bytes(options, reduced, visited, canon);
   result.stop = enforcer.reason();
-  return result;
-}
-
-ReachResult sequential_reach(const TransitionSystem& ts,
-                             const ReachOptions& options,
-                             const StateVisitor& visitor,
-                             const StateAbstraction* abs, bool sleep) {
-  // The lock-free counterparts of the pool's sets: an interned word set
-  // (support/intern.hpp) and its masked form.
-  support::InternedWordSet visited;
-  SeqMaskedSet canon;
-  const bool reduced = abs != nullptr;
-  BudgetEnforcer enforcer(options.budget, options.cancel, options.fault, [&] {
-    return sum_visited_bytes(options, reduced, visited, canon);
-  });
-  std::deque<Frontier> frontier;
-  seed_frontier(ts, options, abs, visited, canon, frontier);
-  Expander<support::InternedWordSet, SeqMaskedSet> expander(
-      ts, options, visitor, abs, sleep, visited, canon);
-  const auto push = [&](Frontier&& f) { frontier.push_back(std::move(f)); };
-  ReachResult result;
-  std::uint64_t peak_frontier = 0;
-  while (!frontier.empty()) {
-    if (const StopReason gate = frontier.back().revisit ? enforcer.probe()
-                                                        : enforcer.claim();
-        gate != StopReason::Complete) {
-      result.stop = gate;
-      break;
-    }
-    peak_frontier = std::max<std::uint64_t>(peak_frontier, frontier.size());
-    Frontier item = std::move(frontier.back());
-    frontier.pop_back();
-    if (!expander.expand(item, push)) break;
-  }
-  result.stats = expander.stats();
-  result.stats.peak_frontier = peak_frontier;
-  result.stats.visited_bytes =
-      sum_visited_bytes(options, reduced, visited, canon);
   return result;
 }
 
@@ -759,9 +725,11 @@ ReachResult visit_reachable(const TransitionSystem& ts,
       make_abstraction(ts.system(), options, sleep);
   const unsigned workers = support::resolve_num_threads(options.num_threads);
   if (workers <= 1) {
-    return sequential_reach(ts, options, visitor, abs.get(), sleep);
+    return pool_reach<support::InternedWordSet, SeqMaskedSet>(
+        ts, options, visitor, abs.get(), sleep, 1);
   }
-  return parallel_reach(ts, options, visitor, abs.get(), sleep, workers);
+  return pool_reach<ShardedVisitedSet, ShardedVisitedSet>(
+      ts, options, visitor, abs.get(), sleep, workers);
 }
 
 ReachResult visit_reachable(const System& sys, const ReachOptions& options,

@@ -1,9 +1,12 @@
 // rc11lib/engine/reach.hpp
 //
 // The generic reachability driver all four checkers run on: enumerate every
-// configuration reachable in a TransitionSystem exactly once — sequentially
-// or with a worker pool over a lock-striped visited set — and hand each one,
-// together with its enabled steps, to a visitor.  explore::explore,
+// configuration reachable in a TransitionSystem exactly once and hand each
+// one, together with its enabled steps, to a visitor.  One pool does the
+// search at every thread count: each worker keeps a private stack, and idle
+// workers are fed from busy ones through a shared hand-off deque.  One
+// worker (num_threads 1) is the exact sequential search over lock-free sets;
+// more workers share a lock-striped visited set.  explore::explore,
 // og::check_outline / check_triple and refinement::build_graph are all thin
 // visitors over this driver; none of them generates successors itself.
 //
@@ -51,7 +54,10 @@ struct ExploreStats {
   std::uint64_t transitions = 0;  ///< transitions generated
   std::uint64_t finals = 0;       ///< states with every thread terminated
   std::uint64_t blocked = 0;      ///< non-final states with no transition
-  std::uint64_t peak_frontier = 0;  ///< largest unexpanded-state backlog
+  /// Largest unexpanded-state backlog one worker held: the whole frontier
+  /// with one worker, the largest private stack (hand-off entries not
+  /// counted) with more.
+  std::uint64_t peak_frontier = 0;
   /// Heap footprint of the visited set at the end of the run (interned
   /// arena + fingerprint tables); divide by `states` for bytes/state.
   std::uint64_t visited_bytes = 0;

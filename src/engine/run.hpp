@@ -46,8 +46,8 @@ struct RunOptions {
   std::uint64_t deadline_ms = 0;
   /// Worker threads expanding configurations: 1 (the default) runs the exact
   /// sequential search, whose failure order and traces are reproducible; 0
-  /// resolves to std::thread::hardware_concurrency(); N > 1 runs a
-  /// shared-frontier pool over a lock-striped visited set
+  /// resolves to std::thread::hardware_concurrency(); N > 1 runs a pool of
+  /// workers with private stacks over a lock-striped visited set
   /// (engine/sharded_visited.hpp).  For
   /// every thread count the *set* of visited states and every verdict are
   /// identical (checkers sort their findings canonically); only per-run

@@ -50,6 +50,38 @@ class SplitMix64 {
 /// a floor below keeps even those drawable).
 constexpr std::uint64_t kWeightScale = 1ULL << 20;
 
+/// The guided weight of a site or choice executed `seen` times before,
+/// floored at 1 so every enabled alternative stays drawable.
+std::uint64_t rarity(std::uint64_t seen) noexcept {
+  const std::uint64_t w = kWeightScale / (1 + seen);
+  return w == 0 ? 1 : w;
+}
+
+/// Draws an index in [0, n) with probability weight_of(i) / Σ weight_of:
+/// one rng.below over the summed weights, then a walk.  With unit weights
+/// the walk returns rng.below(n) itself, so the uniform draw is this one
+/// too.  A single alternative is returned without a draw.  `weights` is
+/// scratch.
+template <typename WeightOf>
+std::size_t weighted_draw(SplitMix64& rng, std::size_t n,
+                          std::vector<std::uint64_t>& weights,
+                          WeightOf weight_of) {
+  if (n <= 1) return 0;
+  weights.clear();
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    weights.push_back(weight_of(i));
+    total += weights.back();
+  }
+  std::uint64_t r = rng.below(total);
+  std::size_t pick = 0;
+  while (r >= weights[pick]) {
+    r -= weights[pick];
+    pick += 1;
+  }
+  return pick;
+}
+
 /// One contiguous run of same-thread steps in a successor buffer, the unit
 /// the weighted thread draw picks between.
 struct ThreadRange {
@@ -160,7 +192,7 @@ ReachResult sample_reach(const TransitionSystem& ts,
 
       // Group the buffer into per-thread runs (successors_into enumerates
       // thread by thread) and draw a thread, weighted by how rarely its
-      // current site has executed; then draw uniformly within the thread —
+      // current site has executed; then draw within the thread —
       // lang::successors enumerates memory nondeterminism (reads-from,
       // placement, CAS outcome) as separate steps, so this second draw is
       // the reads-from choice.
@@ -173,74 +205,38 @@ ReachResult sample_reach(const TransitionSystem& ts,
           ranges.back().end = i + 1;
         }
       }
-      std::size_t pick = 0;
-      if (ranges.size() > 1) {
-        weights.clear();
-        std::uint64_t total = 0;
-        for (const ThreadRange& r : ranges) {
-          std::uint64_t w = 1;
-          if (options.sample.guided) {
-            const std::uint64_t site =
-                (static_cast<std::uint64_t>(r.thread) << 32) |
-                static_cast<std::uint64_t>(cfg.pc[r.thread]);
-            const auto it = hits.find(site);
-            const std::uint64_t seen = it == hits.end() ? 0 : it->second;
-            w = kWeightScale / (1 + seen);
-            if (w == 0) w = 1;  // floor: every enabled thread stays drawable
-          }
-          weights.push_back(w);
-          total += w;
-        }
-        std::uint64_t r = rng.below(total);
-        while (r >= weights[pick]) {
-          r -= weights[pick];
-          pick += 1;
-        }
-      }
-      const ThreadRange& chosen = ranges[pick];
-      const std::size_t span = chosen.end - chosen.begin;
-      std::size_t si = chosen.begin;
-      if (span > 1) {
-        if (options.sample.guided) {
-          // Rarity-weighted reads-from draw: the within-thread alternatives
-          // are the memory-nondeterminism options (reads-from, placement,
-          // CAS outcome) of one instruction, keyed (thread, pc, choice
-          // index) in `choice_hits`.  A uniform draw keeps re-reading the
-          // latest write in long mo sequences; inverse-hit-count weighting
-          // pushes episodes towards the stale reads that distinguish weak
-          // behaviours.  Same draw discipline as the thread draw (one
-          // seeded rng.below over summed weights), so seed determinism is
-          // untouched.
-          weights.clear();
-          std::uint64_t total = 0;
-          for (std::size_t c = 0; c < span; ++c) {
-            const auto it = choice_hits.find(
-                choice_site(chosen.thread, cfg.pc[chosen.thread], c));
-            const std::uint64_t seen =
-                it == choice_hits.end() ? 0 : it->second;
-            std::uint64_t w = kWeightScale / (1 + seen);
-            if (w == 0) w = 1;  // floor: every alternative stays drawable
-            weights.push_back(w);
-            total += w;
-          }
-          std::uint64_t r = rng.below(total);
-          std::size_t c = 0;
-          while (r >= weights[c]) {
-            r -= weights[c];
-            c += 1;
-          }
-          si = chosen.begin + c;
-        } else {
-          si = chosen.begin + static_cast<std::size_t>(rng.below(span));
-        }
-      }
+      const auto site = [&](lang::ThreadId t) {
+        return (static_cast<std::uint64_t>(t) << 32) |
+               static_cast<std::uint64_t>(cfg.pc[t]);
+      };
+      // Guided draws weigh each alternative by its rarity; unguided ones
+      // are uniform.
+      const auto weight = [&](const auto& counts,
+                              std::uint64_t key) -> std::uint64_t {
+        if (!options.sample.guided) return 1;
+        const auto it = counts.find(key);
+        return rarity(it == counts.end() ? 0 : it->second);
+      };
+      const ThreadRange& chosen = ranges[weighted_draw(
+          rng, ranges.size(), weights,
+          [&](std::size_t i) { return weight(hits, site(ranges[i].thread)); })];
+      // Rarity-weighted reads-from draw: the within-thread alternatives are
+      // the memory-nondeterminism options (reads-from, placement, CAS
+      // outcome) of one instruction, keyed (thread, pc, choice index) in
+      // `choice_hits`.  A uniform draw keeps re-reading the latest write in
+      // long mo sequences; inverse-hit-count weighting pushes episodes
+      // towards the stale reads that distinguish weak behaviours.
+      const std::uint32_t pc = cfg.pc[chosen.thread];
+      const std::size_t si =
+          chosen.begin +
+          weighted_draw(rng, chosen.end - chosen.begin, weights,
+                        [&](std::size_t c) {
+                          return weight(choice_hits,
+                                        choice_site(chosen.thread, pc, c));
+                        });
       if (options.sample.guided) {
-        const std::uint64_t site =
-            (static_cast<std::uint64_t>(chosen.thread) << 32) |
-            static_cast<std::uint64_t>(cfg.pc[chosen.thread]);
-        hits[site] += 1;
-        choice_hits[choice_site(chosen.thread, cfg.pc[chosen.thread],
-                                si - chosen.begin)] += 1;
+        hits[site(chosen.thread)] += 1;
+        choice_hits[choice_site(chosen.thread, pc, si - chosen.begin)] += 1;
       }
       Step& step = steps.steps()[si];
       std::tie(fresh, id) =

@@ -35,10 +35,6 @@ namespace {
 using Clock = std::chrono::steady_clock;
 using witness::Json;
 
-constexpr std::uint64_t kDefaultBatch = 32;
-constexpr std::uint64_t kDefaultHangMs = 5000;
-constexpr std::uint64_t kDefaultBackoffMs = 25;
-constexpr std::uint64_t kDefaultRetries = 2;
 /// Backstop on lifetime restarts of one slot beyond the per-batch retry
 /// budget, so a worker that dies outside any batch (e.g. repeated fork
 /// failure) cannot respawn-loop forever.
@@ -60,28 +56,20 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   return parsed;
 }
 
+/// The supervisor's tuning: each knob reads its RC11_DIST_* environment
+/// variable when the Supervisor is built, else the default.
 struct Tuning {
-  std::uint64_t batch = kDefaultBatch;
-  std::uint64_t hang_ms = kDefaultHangMs;
-  std::uint64_t backoff_ms = kDefaultBackoffMs;
-  std::uint64_t retries = kDefaultRetries;
+  /// States per dispatched batch.
+  std::uint64_t batch = env_u64("RC11_DIST_BATCH", 32);
+  /// No frame from a worker with work outstanding for this long => it is
+  /// wedged and gets killed/restarted.
+  std::uint64_t hang_ms = env_u64("RC11_DIST_HANG_MS", 5000);
+  /// Base restart backoff, doubled per consecutive restart of the slot.
+  std::uint64_t backoff_ms = env_u64("RC11_DIST_BACKOFF_MS", 25);
+  /// Times one batch may be retried after worker death/hang/corruption
+  /// before the slot is given up for lost.
+  std::uint64_t retries = env_u64("RC11_DIST_RETRIES", 2);
 };
-
-Tuning resolve_tuning(const DistOptions& o) {
-  Tuning t;
-  t.batch = o.batch_size != 0 ? o.batch_size
-                              : env_u64("RC11_DIST_BATCH", kDefaultBatch);
-  t.hang_ms = o.hang_timeout_ms != 0
-                  ? o.hang_timeout_ms
-                  : env_u64("RC11_DIST_HANG_MS", kDefaultHangMs);
-  t.backoff_ms = o.backoff_ms != 0
-                     ? o.backoff_ms
-                     : env_u64("RC11_DIST_BACKOFF_MS", kDefaultBackoffMs);
-  t.retries = o.max_batch_retries != 0
-                  ? o.max_batch_retries
-                  : env_u64("RC11_DIST_RETRIES", kDefaultRetries);
-  return t;
-}
 
 std::uint64_t get_u64(const Json& v, const char* what) {
   const std::int64_t i = v.as_int();
@@ -430,7 +418,6 @@ class Supervisor {
         options_(options),
         delegate_(delegate),
         sink_(sink),
-        tuning_(resolve_tuning(options)),
         collapse_(options.por && ts.collapse_chains()),
         reduced_(options.rf_quotient),
         nworkers_(options.workers),

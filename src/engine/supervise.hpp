@@ -65,8 +65,10 @@
 
 namespace rc11::engine {
 
-/// Options for supervise_reach.  The zero-valued tuning knobs fall back to
-/// RC11_DIST_* environment variables, then to built-in defaults, so tests
+/// Options for supervise_reach.  The supervisor's tuning (states per batch,
+/// hang timeout, restart backoff, batch retries) is not an option: it reads
+/// the RC11_DIST_BATCH, RC11_DIST_HANG_MS, RC11_DIST_BACKOFF_MS and
+/// RC11_DIST_RETRIES environment variables, then built-in defaults, so tests
 /// and CI can reshape batching without new CLI surface.
 struct DistOptions {
   unsigned workers = 1;  ///< worker processes (>= 1; 1 is the reference run)
@@ -74,17 +76,6 @@ struct DistOptions {
   bool por = false;  ///< mirrored into the workers' expand_steps
   bool rf_quotient = false;
   RfPins rf_pins;  ///< extra rf-quotient key pins (ignored unless rf_quotient)
-  /// States per dispatched batch (0: RC11_DIST_BATCH, default 32).
-  std::uint64_t batch_size = 0;
-  /// No frame from a worker with work outstanding for this long => it is
-  /// wedged and gets killed/restarted (0: RC11_DIST_HANG_MS, default 5000).
-  std::uint64_t hang_timeout_ms = 0;
-  /// Base restart backoff, doubled per consecutive restart of the slot
-  /// (0: RC11_DIST_BACKOFF_MS, default 25).
-  std::uint64_t backoff_ms = 0;
-  /// Times one batch may be retried after worker death/hang/corruption
-  /// before the slot is given up for lost (0: RC11_DIST_RETRIES, default 2).
-  std::uint64_t max_batch_retries = 0;
   const CancelToken* cancel = nullptr;
   /// State-level kinds gate the supervisor's absorption claims; the
   /// process-level kinds (Crash/Hang/Corrupt) fire inside workers, keyed by

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -18,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "engine/checkpoint.hpp"
 #include "engine/reach.hpp"
 #include "engine/sharded_visited.hpp"
 #include "explore/explorer.hpp"
@@ -385,6 +387,152 @@ TEST(ParallelExplore, TracedInsertsOnOneShardReplayUnderContention) {
     ASSERT_TRUE(r.ok) << "path to state " << id << ": " << r.error;
     ASSERT_EQ(r.steps_applied, edges.size());
   }
+}
+
+// --- the pool's hand-off paths -----------------------------------------------
+
+// Three threads with long critical sections under one abstract lock: while a
+// thread holds the lock, the others are blocked on acquire, so each critical
+// section is a run of single-successor states.  A worker walking one leaves
+// nothing on its stack to hand off, its peers run dry and wait idle, and a
+// release branches the search again and feeds them.
+constexpr const char* kHandoffProgram = R"(
+var x = 0;
+var y = 0;
+lock library l;
+
+thread t1 {
+  reg ok1; reg a1; reg r1;
+  ok1 <- l.acquire();
+  a1 := a1 + 1; a1 := a1 + 1; a1 := a1 + 1; a1 := a1 + 1; a1 := a1 + 1;
+  a1 := a1 + 1; a1 := a1 + 1; a1 := a1 + 1; a1 := a1 + 1; a1 := a1 + 1;
+  x := a1;
+  l.release();
+  r1 <- y;
+  y := 1;
+}
+
+thread t2 {
+  reg ok2; reg a2; reg r2;
+  ok2 <- l.acquire();
+  a2 := a2 + 2; a2 := a2 + 2; a2 := a2 + 2; a2 := a2 + 2; a2 := a2 + 2;
+  a2 := a2 + 2; a2 := a2 + 2; a2 := a2 + 2; a2 := a2 + 2; a2 := a2 + 2;
+  y := a2;
+  l.release();
+  r2 <- x;
+  x := 2;
+}
+
+thread t3 {
+  reg ok3; reg a3; reg r3;
+  ok3 <- l.acquire();
+  a3 := a3 + 3; a3 := a3 + 3; a3 := a3 + 3; a3 := a3 + 3; a3 := a3 + 3;
+  a3 := a3 + 3; a3 := a3 + 3; a3 := a3 + 3; a3 := a3 + 3; a3 := a3 + 3;
+  r3 <- x;
+  l.release();
+  y := a3;
+}
+)";
+
+const unsigned kHandoffWorkers[] = {2, 4, 8};
+
+TEST(ParallelExplore, HandoffCountsMatchOneWorker) {
+  const auto program = parser::parse_program(kHandoffProgram);
+  for (const bool traced : {false, true}) {
+    SCOPED_TRACE(traced ? "traced" : "untraced");
+    ExploreOptions opts;
+    opts.track_traces = traced;
+    opts.num_threads = 1;
+    const auto baseline = explore::explore(program.sys, opts);
+    ASSERT_EQ(baseline.stop, engine::StopReason::Complete);
+    ASSERT_GT(baseline.stats.states, 100u);
+    for (const unsigned workers : kHandoffWorkers) {
+      SCOPED_TRACE("workers=" + std::to_string(workers));
+      opts.num_threads = workers;
+      const auto result = explore::explore(program.sys, opts);
+      EXPECT_EQ(result.stop, engine::StopReason::Complete);
+      EXPECT_EQ(result.stats.states, baseline.stats.states);
+      EXPECT_EQ(result.stats.transitions, baseline.stats.transitions);
+      EXPECT_EQ(result.stats.finals, baseline.stats.finals);
+      EXPECT_EQ(result.stats.blocked, baseline.stats.blocked);
+      EXPECT_EQ(final_encodings(result), final_encodings(baseline));
+    }
+  }
+}
+
+// One thread counting in a loop: every state has one successor, so the
+// pool's other workers run dry at once and wait for the whole run.
+constexpr const char* kChainProgram = R"(
+var x = 0;
+
+thread t1 {
+  reg a;
+  do { a := a + 1; } until (a == 3000);
+  x := a;
+}
+)";
+
+// The invariant fires two thirds of the way along the chain, while every
+// peer of the worker walking it waits for work.  The veto must wake them:
+// the run returns, Complete, with the violation.
+TEST(ParallelExplore, VetoWhilePeersWaitReturns) {
+  const auto program = parser::parse_program(kChainProgram);
+  const auto invariant = [](const System&,
+                            const Config& cfg) -> std::optional<std::string> {
+    if (cfg.regs[0][0] == 2000) return "counted to 2000";
+    return std::nullopt;
+  };
+  for (const unsigned workers : {1U, 2U, 4U, 8U}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    ExploreOptions opts;
+    opts.num_threads = workers;
+    opts.stop_on_violation = true;
+    const auto result = explore::explore(program.sys, opts, invariant);
+    EXPECT_EQ(result.stop, engine::StopReason::Complete);
+    ASSERT_FALSE(result.violations.empty());
+    EXPECT_EQ(result.violations.front().what, "counted to 2000");
+    EXPECT_LT(result.stats.states, 6000U);
+  }
+}
+
+// A state cap taken by a pool whose hand-off deque may hold work when the
+// cap trips: the states on it, like those on every worker's stack, are
+// interned and marked enqueued, so the checkpoint covers them and resuming
+// at one worker and at four reproduces the uninterrupted counts.
+TEST(ParallelExplore, StateCapDuringHandoffCheckpointsAndResumes) {
+  const auto program = parser::parse_program(kHandoffProgram);
+  const auto full = explore::explore(program.sys, ExploreOptions{});
+  ASSERT_EQ(full.stop, engine::StopReason::Complete);
+  const std::string path =
+      ::testing::TempDir() + "parallel_explore_handoff_ckpt.json";
+  for (const unsigned writer : {4U, 8U}) {
+    for (const std::uint64_t cap :
+         {full.stats.states / 4, full.stats.states / 2,
+          3 * full.stats.states / 4}) {
+      SCOPED_TRACE("writer=" + std::to_string(writer) +
+                   " cap=" + std::to_string(cap));
+      ExploreOptions trunc;
+      trunc.num_threads = writer;
+      trunc.max_states = cap;
+      trunc.checkpoint_path = path;
+      const auto truncated = explore::explore(program.sys, trunc);
+      ASSERT_EQ(truncated.stop, engine::StopReason::StateCap);
+      const auto ckpt = engine::load_checkpoint(path);
+      for (const unsigned reader : {1U, 4U}) {
+        SCOPED_TRACE("reader=" + std::to_string(reader));
+        ExploreOptions resume;
+        resume.num_threads = reader;
+        resume.resume = &ckpt;
+        const auto resumed = explore::explore(program.sys, resume);
+        EXPECT_EQ(resumed.stop, engine::StopReason::Complete);
+        EXPECT_EQ(resumed.stats.states, full.stats.states);
+        EXPECT_EQ(resumed.stats.transitions, full.stats.transitions);
+        EXPECT_EQ(resumed.stats.finals, full.stats.finals);
+        EXPECT_EQ(resumed.stats.blocked, full.stats.blocked);
+      }
+    }
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

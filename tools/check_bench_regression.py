@@ -11,7 +11,13 @@ Fails (exit 1) when
   * a case is missing a required field (name/states/states_per_s),
   * the explored state count differs (the state space is deterministic —
     any difference is a semantics bug, not a performance regression), or
-  * states_per_s dropped by more than the tolerance (default 30%).
+  * states_per_s dropped by more than the tolerance (default 30%), for a
+    case of at least MIN_GATED_STATES states.
+
+A case below MIN_GATED_STATES keeps its exact state-count check, but its
+states_per_s is only printed: a run of a few dozen states times per-call
+setup, not search, and that reading moves by 1.5x or more from one bench
+process to the next on the same machine.
 
 Cases present only in the current report are listed (they don't fail the
 check — they just need a baseline refresh to become guarded).  Throughput
@@ -25,6 +31,9 @@ import json
 import sys
 
 REQUIRED_FIELDS = ("name", "states", "states_per_s")
+
+# Smallest baseline state count whose throughput is gated.
+MIN_GATED_STATES = 100
 
 
 def load_cases(path):
@@ -82,6 +91,11 @@ def main():
             continue
         base_rate = float(base["states_per_s"])
         cur_rate = float(cur["states_per_s"])
+        if base_states < MIN_GATED_STATES:
+            print(f"{name}: {base_states:,} states, {base_rate:,.0f} -> "
+                  f"{cur_rate:,.0f} states/s (not gated: under "
+                  f"{MIN_GATED_STATES} states)")
+            continue
         if base_rate <= 0:
             failures.append(f"{name}: baseline states_per_s is {base_rate}; "
                             "refresh the baseline from a real run")

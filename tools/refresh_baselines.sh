@@ -3,7 +3,8 @@
 # real bench run — the one reviewed command to run when a deliberate change
 # moves the numbers.  Commit the refreshed baselines alongside that change;
 # CI (check_bench_regression.py) diffs each bench's --json report against
-# these files with exact state counts and a 30% throughput tolerance.
+# these files with exact state counts and a 30% throughput tolerance (the
+# tolerance applies to cases of at least 100 states).
 #
 # Usage: tools/refresh_baselines.sh [BUILD_DIR]   (default: build)
 #
